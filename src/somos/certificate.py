@@ -12,11 +12,19 @@ a_{n-5} divides the bilinear numerator a_{n-1}a_{n-4} + a_{n-2}a_{n-3}:
     multiples of a_{n-5}, and ends at a_{n-3}a_{n-4}a_{n-5}a_{n-10}, which
     carries a_{n-5} as a literal factor.
 
-Every step is materialized as a concrete integer.  Exact-rewrite steps
-must reproduce the previous value bit-for-bit; drop-multiple steps must
-differ from it by exactly the recomputed discarded products, each an
-exact multiple of a_{n-5}.  The chain shape is specific to order 5;
-other orders get integrality scanning instead (see scanner).
+Every line is evaluated as a concrete integer from one table of
+pairwise products a_{n-i}a_{n-j}, computed once per certificate.  The
+shift identities take both sides from it, and chain lines 2, 4 and 6
+reuse the identities' right-hand sides rather than summing those
+products again.  Exact-rewrite steps must reproduce the previous value
+bit-for-bit; drop-multiple steps must fall short of it by exactly the
+discarded products.  Those products, like the last line, are built as
+a_{n-5} times a cofactor, so they are multiples of the modulus by
+construction and are not reduced again.  congruent_to_prev follows from
+a verified step and is reduced modulo a_{n-5} only on a failing one.
+The residue of the numerator modulo a_{n-5} stays as an independent end
+check.  The chain shape is specific to order 5; other orders get
+integrality scanning instead (see scanner).
 
 Certificates start at n = 10 because the chain references a_{n-10}; the
 ten earlier terms are integral by inspection.
@@ -34,6 +42,13 @@ EXACT_REWRITE = "exact-rewrite"
 DROP_MULTIPLE = "drop-multiple"
 
 CERTIFICATE_START = 10
+
+# Index pairs (i, j) of the products a_{n-i} a_{n-j} a certificate uses:
+# the three of each shift identity s = 1..5, the numerator, the
+# multiplier a_{n-8} a_{n-9}, and the two outer factors of chain line 2.
+_PAIRS = tuple(
+    pair for s in range(1, 6) for pair in ((s, s + 5), (s + 1, s + 4), (s + 2, s + 3))
+) + ((1, 4), (2, 3), (8, 9), (1, 8), (2, 9))
 
 
 @dataclass(frozen=True)
@@ -89,17 +104,29 @@ def _require_window(buffer: SequenceBuffer, n: int) -> None:
         )
 
 
-def check_index_shifts(buffer: SequenceBuffer, n: int) -> tuple[IndexShiftIdentity, ...]:
-    """Evaluate the five shifted recurrence identities exactly, shifts 5 down to 1."""
+def _window(buffer: SequenceBuffer, n: int) -> tuple[int, ...]:
+    """t with t[d] = a_{n-d} for d = 1..10; t[0] is unused."""
     _require_window(buffer, n)
+    return (0,) + tuple(as_integer(buffer.term(n - d)) for d in range(1, 11))
+
+
+def _pairwise_products(t: tuple[int, ...]) -> dict[tuple[int, int], int]:
+    """p[i, j] = t[i] * t[j] for the pairs the shift identities and the chain use."""
+    return {(i, j): t[i] * t[j] for i, j in _PAIRS}
+
+
+def _shift_identities(p: dict[tuple[int, int], int]) -> tuple[IndexShiftIdentity, ...]:
     identities = []
     for s in range(5, 0, -1):
-        lhs = as_integer(buffer.term(n - s)) * as_integer(buffer.term(n - s - 5))
-        rhs = as_integer(buffer.term(n - s - 1)) * as_integer(buffer.term(n - s - 4)) + as_integer(
-            buffer.term(n - s - 2)
-        ) * as_integer(buffer.term(n - s - 3))
+        lhs = p[s, s + 5]
+        rhs = p[s + 1, s + 4] + p[s + 2, s + 3]
         identities.append(IndexShiftIdentity(shift=s, lhs=lhs, rhs=rhs, holds=lhs == rhs))
     return tuple(identities)
+
+
+def check_index_shifts(buffer: SequenceBuffer, n: int) -> tuple[IndexShiftIdentity, ...]:
+    """Evaluate the five shifted recurrence identities exactly, shifts 5 down to 1."""
+    return _shift_identities(_pairwise_products(_window(buffer, n)))
 
 
 def cancellation_precondition(buffer: SequenceBuffer, n: int) -> int:
@@ -124,64 +151,50 @@ def build_certificate(
     invalid certificate instead (an invalid chain on a generated Somos-5
     buffer signals an engine bug).
     """
-    _require_window(buffer, n)
-    t = {d: as_integer(buffer.term(n - d)) for d in range(1, 11)}
+    t = _window(buffer, n)
     m = t[5]
     if m == 0:
         raise ZeroDenominatorError(n - 5, f"chain modulus a_{n - 5} is zero")
 
-    numerator = t[1] * t[4] + t[2] * t[3]
-    shifts = check_index_shifts(buffer, n)
-    precondition_gcd = gcd(m, t[8] * t[9])
+    p = _pairwise_products(t)
+    shifts = _shift_identities(p)
+    rhs = {identity.shift: identity.rhs for identity in shifts}
+    numerator = p[1, 4] + p[2, 3]
+    precondition_gcd = gcd(m, p[8, 9])
 
-    # The eight displayed lines: multiply by a_{n-8}a_{n-9}, distribute,
-    # substitute the shift identities, drop explicit multiples of a_{n-5},
-    # factor, and finish at a_{n-3}a_{n-4}a_{n-5}a_{n-10}.
+    # The eight displayed lines as (value, dropped multiple or None):
+    # multiply by a_{n-8}a_{n-9}, distribute, substitute shifts 4 and 3,
+    # drop multiples of m, substitute shifts 1 and 2, drop again, factor,
+    # and substitute shift 5 to finish at a_{n-3}a_{n-4}a_{n-5}a_{n-10}.
+    # Dropped multiples are m times a cofactor, and the last line carries
+    # m through p[5, 10] = m * t[10].
     lines = [
-        (t[8] * t[9] * numerator, EXACT_REWRITE, None),
-        (t[8] * t[9] * t[1] * t[4] + t[8] * t[9] * t[2] * t[3], EXACT_REWRITE, None),
-        (
-            t[8] * t[1] * (t[5] * t[8] + t[6] * t[7])
-            + t[9] * t[2] * (t[4] * t[7] + t[5] * t[6]),
-            EXACT_REWRITE,
-            None,
-        ),
-        (
-            t[8] * t[1] * t[6] * t[7] + t[9] * t[2] * t[4] * t[7],
-            DROP_MULTIPLE,
-            t[8] * t[1] * t[5] * t[8] + t[9] * t[2] * t[5] * t[6],
-        ),
-        (
-            t[8] * t[7] * (t[2] * t[5] + t[3] * t[4])
-            + t[9] * t[4] * (t[3] * t[6] + t[4] * t[5]),
-            EXACT_REWRITE,
-            None,
-        ),
-        (
-            t[8] * t[7] * t[3] * t[4] + t[9] * t[4] * t[3] * t[6],
-            DROP_MULTIPLE,
-            t[8] * t[7] * t[2] * t[5] + t[9] * t[4] * t[4] * t[5],
-        ),
-        (t[3] * t[4] * (t[8] * t[7] + t[9] * t[6]), EXACT_REWRITE, None),
-        (t[3] * t[4] * t[5] * t[10], EXACT_REWRITE, None),
+        (p[8, 9] * numerator, None),
+        (p[8, 9] * p[1, 4] + p[8, 9] * p[2, 3], None),
+        (p[1, 8] * rhs[4] + p[2, 9] * rhs[3], None),
+        (p[1, 8] * p[6, 7] + p[2, 9] * p[4, 7], m * (p[1, 8] * t[8] + p[2, 9] * t[6])),
+        (p[7, 8] * rhs[1] + p[4, 9] * rhs[2], None),
+        (p[7, 8] * p[3, 4] + p[4, 9] * p[3, 6], m * (p[7, 8] * t[2] + p[4, 9] * t[4])),
+        (p[3, 4] * rhs[5], None),
+        (p[3, 4] * p[5, 10], None),
     ]
 
     chain = []
     previous = None
-    for step_no, (value, kind, dropped) in enumerate(lines):
+    for step_no, (value, dropped) in enumerate(lines):
         if previous is None:
-            congruent = True
             verified = True
+        elif dropped is None:
+            verified = value == previous
         else:
-            congruent = (previous - value) % m == 0
-            if kind == EXACT_REWRITE:
-                verified = value == previous
-            else:
-                verified = previous - value == dropped and dropped % m == 0
+            verified = previous - value == dropped
+        # A verified step differs from its predecessor by 0 or by a
+        # multiple of m, so only a failing step needs the reduction.
+        congruent = verified or (previous - value) % m == 0
         chain.append(
             ChainStep(
                 step_no=step_no,
-                kind=kind,
+                kind=EXACT_REWRITE if dropped is None else DROP_MULTIPLE,
                 value=value,
                 congruent_to_prev=congruent,
                 verified=verified,
@@ -195,7 +208,6 @@ def build_certificate(
         precondition_gcd == 1
         and all(identity.holds for identity in shifts)
         and all(step.verified for step in chain)
-        and chain[-1].value % m == 0
         and numerator_residue == 0
     )
     certificate = DivisibilityCertificate(

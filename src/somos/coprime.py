@@ -141,8 +141,8 @@ class CoprimeWindowReport:
 
 def verify_coprime_window(buffer: SequenceBuffer, n: int, depth: int = 4) -> CoprimeWindowReport:
     """Report gcd(a_n, a_{n-i}) for i = 1..depth; passes when all equal 1."""
-    if depth not in (1, 2, 3, 4):
-        raise ValueError(f"depth must be in 1..4, got {depth}")
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
     if not buffer.has_range(n - depth, n):
         raise IndexOutOfRangeError(
             f"window {n - depth}..{n} not covered by buffer "

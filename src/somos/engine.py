@@ -22,6 +22,7 @@ from .errors import (
     InvalidSpecError,
     NonIntegralTermError,
     ZeroDenominatorError,
+    int_text,
 )
 
 Term = Union[int, Fraction]
@@ -81,7 +82,7 @@ class SequenceSpec:
         return all(v == 1 for v in self.initials)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class NonIntegralEvent:
     """Witness that the bilinear sum was not divisible by a_{n-k}.
 
@@ -92,6 +93,12 @@ class NonIntegralEvent:
     numerator: int
     denominator: int
     remainder: int
+
+    def __repr__(self) -> str:
+        return (
+            f"NonIntegralEvent(index={self.index}, numerator={int_text(self.numerator)}, "
+            f"denominator={int_text(self.denominator)}, remainder={int_text(self.remainder)})"
+        )
 
 
 class SequenceBuffer:
@@ -194,10 +201,10 @@ def next_term(buffer: SequenceBuffer, spec: SequenceSpec, mode: str = INTEGER):
         value = Fraction(numerator) / Fraction(denominator)
         buffer.append(value)
         return value
-    remainder = numerator % abs(denominator)
+    quotient, remainder = divmod(numerator, abs(denominator))
     if remainder:
         return NonIntegralEvent(n, numerator, denominator, remainder)
-    value = numerator // denominator
+    value = quotient if denominator > 0 else -quotient
     buffer.append(value)
     return value
 

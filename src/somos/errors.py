@@ -1,6 +1,22 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the digit-safe integer
+text their messages use."""
 
 from __future__ import annotations
+
+
+def int_text(value: int) -> str:
+    """Decimal text of value, or a summary such as '<5001-digit integer>'.
+
+    The summary replaces values that str() refuses under the interpreter's
+    int-to-str digit limit (Python 3.11+), so that formatting a witness
+    never raises.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        from .engine import digit_count  # engine imports this module
+
+        return f"<{digit_count(value)}-digit integer>"
 
 
 class SomosError(Exception):
@@ -38,7 +54,7 @@ class NonIntegralTermError(SomosError):
         self.buffer = buffer
         super().__init__(
             f"non-integral term at index {event.index}: "
-            f"remainder {event.remainder} dividing by a[{event.index}-k]"
+            f"remainder {int_text(event.remainder)} dividing by a[{event.index}-k]"
         )
 
 

@@ -45,7 +45,9 @@ def from_decimal(text: str) -> int:
 
 
 def _without_digit_guard(convert, argument):
-    # int<->str guards exist on 3.11+ only; this branch is unreachable below.
+    # Reached on Python 3.11+ for values past the int<->str digit limit
+    # (older versions have no limit).  It lifts a process-wide setting for
+    # the duration of the call, so it is not thread-safe.
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+from dataclasses import astuple
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -20,7 +23,7 @@ from somos import (
     verify_integrality,
 )
 
-from helpers import SOMOS_SUMMANDS, first_fractional_index, fraction_terms
+from helpers import SOMOS_SUMMANDS, certificate_oracle, first_fractional_index, fraction_terms
 
 
 class TestIndexShifts:
@@ -136,6 +139,45 @@ class TestBuildCertificate:
         buffer = SequenceBuffer([1, 1, 1, 1, 1, 0, 1, 1, 1, 1, 1])
         with pytest.raises(ZeroDenominatorError):
             build_certificate(buffer, 10)
+
+
+class TestCertificateOracle:
+    """build_certificate equals the term-by-term chain field for field."""
+
+    def test_generated_range(self, somos5_values):
+        values = list(somos5_values[:450])
+        buffer = SequenceBuffer(values)
+        for n in range(CERTIFICATE_START, 450):
+            assert astuple(build_certificate(buffer, n)) == certificate_oracle(values, n)
+
+    def test_one_corrupted_term(self, somos5_values):
+        rng = random.Random(2105)
+        invalid = 0
+        for _ in range(60):
+            values = list(somos5_values[: rng.randrange(12, 80)])
+            values[rng.randrange(len(values))] += rng.randrange(1, 10**6)
+            buffer = SequenceBuffer(values)
+            for n in range(CERTIFICATE_START, len(values)):
+                certificate = build_certificate(buffer, n)
+                assert astuple(certificate) == certificate_oracle(values, n)
+                invalid += not certificate.valid
+        assert invalid > 0
+
+    def test_random_windows_with_failing_steps(self):
+        # Small signed terms, so failing steps land on both sides of the
+        # congruence that is only reduced when a step fails.
+        rng = random.Random(503)
+        congruence_of_failing_steps = set()
+        for _ in range(200):
+            values = [rng.choice((-1, 1)) * rng.randrange(1, 60) for _ in range(12)]
+            buffer = SequenceBuffer(values)
+            for n in (10, 11, 12):
+                certificate = build_certificate(buffer, n)
+                assert astuple(certificate) == certificate_oracle(values, n)
+                congruence_of_failing_steps.update(
+                    step.congruent_to_prev for step in certificate.chain if not step.verified
+                )
+        assert congruence_of_failing_steps == {False, True}
 
 
 class TestVerifyIntegrality:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -116,6 +117,19 @@ class TestCertify:
     def test_moderate_range(self, capsys):
         assert main(["certify", "--count", "60"]) == 0
         assert "50 checked" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "index, digest",
+        [
+            (10, "c5249cf108052f155b077148fb15257fdcc35de44be4eacbd17d356201cd1da3"),
+            (57, "6d50df455600b81e7a51b78dd0d321abc1f6a1faf6849c4db6cc6d2b3651dac1"),
+            (200, "9c7d1cef991f76b47d75e392c7b223c9a2b3e5ebe011f670c78cfbc43330bf9b"),
+        ],
+    )
+    def test_single_index_json_is_byte_stable(self, capsys, index, digest):
+        # SHA-256 of stdout, frozen from the term-by-term chain evaluation.
+        assert main(["certify", "--index", str(index), "--format", "json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestLemmas:

@@ -141,9 +141,11 @@ class TestCoprimeWindow:
 
     def test_depth_validation(self, somos5_buffer):
         buffer = somos5_buffer(12)
-        for depth in (0, 5, -1):
+        for depth in (0, -1):
             with pytest.raises(ValueError):
                 verify_coprime_window(buffer, 9, depth)
+        report = verify_coprime_window(buffer, 9, 5)
+        assert report.depth == 5 and len(report.gcds) == 5
 
     def test_missing_terms(self, somos5_buffer):
         buffer = somos5_buffer(12)

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from somos import (
@@ -26,6 +27,7 @@ from somos import (
     somos5_spec,
     somos_k_spec,
 )
+from somos.errors import int_text
 
 from helpers import SOMOS_SUMMANDS, first_fractional_index, fraction_terms
 
@@ -105,6 +107,28 @@ class TestNextTerm:
         assert event.index == failing
         assert 0 < event.remainder < abs(event.denominator)
         assert buffer.values() == before
+
+    @given(st.lists(st.integers(min_value=-50, max_value=50), min_size=5, max_size=5))
+    def test_signed_divisors(self, initials):
+        assume(initials[0] != 0)
+        spec = SequenceSpec(order=5, summands=((1, 4), (2, 3)), initials=initials)
+        numerator = initials[4] * initials[1] + initials[3] * initials[2]
+        denominator = initials[0]
+        result = next_term(new_state(spec), spec)
+        if numerator % denominator == 0:
+            assert result == numerator // denominator
+        else:
+            assert isinstance(result, NonIntegralEvent)
+            assert result.remainder == numerator % abs(denominator)
+            assert 0 <= result.remainder < abs(denominator)
+
+    def test_negative_divisor_example(self):
+        spec = SequenceSpec(order=5, summands=((1, 4), (2, 3)), initials=(-7, 5, 1, 2, 3))
+        # 3*5 + 2*1 = 17 = (-7)(-3) - 4, so the remainder modulo 7 is 3
+        event = next_term(new_state(spec), spec)
+        assert (event.numerator, event.denominator, event.remainder) == (17, -7, 3)
+        spec = SequenceSpec(order=5, summands=((1, 4), (2, 3)), initials=(-7, 4, 1, 1, 5))
+        assert next_term(new_state(spec), spec) == 21 // -7 == -3
 
     def test_zero_denominator(self):
         spec = SequenceSpec(order=5, summands=((1, 4), (2, 3)), initials=(0, 1, 1, 1, 1))
@@ -248,6 +272,47 @@ class TestDigitCount:
         assert digit_count(Fraction(274)) == 3
         with pytest.raises(ValueError):
             digit_count(Fraction(1, 2))
+
+
+# 5001 digits: past the default 4300-digit int->str limit of Python 3.11+.
+HUGE = 10**5000 + 7
+
+
+@pytest.fixture
+def digit_limit():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int->str digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+class TestDigitSafeText:
+    def test_small_values_print_in_full(self):
+        assert int_text(274) == "274"
+        assert int_text(-6161) == "-6161"
+
+    def test_summary_past_the_limit(self, digit_limit):
+        assert int_text(HUGE) == "<5001-digit integer>"
+
+    def test_event_repr(self, digit_limit):
+        event = NonIntegralEvent(900, 3 * HUGE + 1, -HUGE, 1 + HUGE // 2)
+        assert repr(event) == (
+            "NonIntegralEvent(index=900, numerator=<5001-digit integer>, "
+            "denominator=<5001-digit integer>, remainder=<5000-digit integer>)"
+        )
+        assert repr(NonIntegralEvent(8, 17, -7, 3)) == (
+            "NonIntegralEvent(index=8, numerator=17, denominator=-7, remainder=3)"
+        )
+
+    def test_error_message(self, digit_limit):
+        event = NonIntegralEvent(900, 3 * HUGE + 1, 2 * HUGE, HUGE + 1)
+        error = NonIntegralTermError(event, SequenceBuffer([1]))
+        assert str(error) == (
+            "non-integral term at index 900: remainder <5001-digit integer> dividing by a[900-k]"
+        )
+        assert error.event is event
 
 
 class TestRecurrenceIdentityProperty:
