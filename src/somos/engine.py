@@ -184,6 +184,11 @@ def next_term(buffer: SequenceBuffer, spec: SequenceSpec, mode: str = INTEGER):
     non-exact division it returns a NonIntegralEvent and leaves the
     buffer unchanged.  Rational mode always appends the exact quotient.
     Raises ZeroDenominatorError when a_{n-k} is zero in either mode.
+
+    Both modes share one integer step while a_{n-1} .. a_{n-k} are all
+    integral (int, or Fraction with denominator 1): one divmod of the
+    integer numerator decides exactness.  Only a window holding a
+    non-integral fraction falls back to Fraction arithmetic.
     """
     if mode not in (INTEGER, RATIONAL):
         raise ValueError(f"unknown mode {mode!r}")
@@ -193,18 +198,27 @@ def next_term(buffer: SequenceBuffer, spec: SequenceSpec, mode: str = INTEGER):
         raise IndexOutOfRangeError(
             f"buffer holds {len(buffer)} terms, need the last {k} to step"
         )
-    denominator = buffer.term(n - k)
+    window = {i: buffer.term(n - i) for i in range(1, k + 1)}
+    denominator = window[k]
     if denominator == 0:
         raise ZeroDenominatorError(n)
-    numerator = sum(buffer.term(n - i) * buffer.term(n - j) for i, j in spec.summands)
-    if mode == RATIONAL:
-        value = Fraction(numerator) / Fraction(denominator)
-        buffer.append(value)
-        return value
-    quotient, remainder = divmod(numerator, abs(denominator))
-    if remainder:
-        return NonIntegralEvent(n, numerator, denominator, remainder)
-    value = quotient if denominator > 0 else -quotient
+    if all(v.denominator == 1 for v in window.values()):
+        # .numerator is the integer value of an int or an integral Fraction.
+        window = {i: v.numerator for i, v in window.items()}
+        denominator = window[k]
+    numerator = sum(window[i] * window[j] for i, j in spec.summands)
+    if mode == RATIONAL and isinstance(numerator, Fraction):
+        value = numerator / denominator
+    else:
+        quotient, remainder = divmod(numerator, abs(denominator))
+        if not remainder:
+            value = quotient if denominator > 0 else -quotient
+            if mode == RATIONAL:
+                value = Fraction(value)
+        elif mode == RATIONAL:
+            value = Fraction(numerator, denominator)
+        else:
+            return NonIntegralEvent(n, numerator, denominator, remainder)
     buffer.append(value)
     return value
 

@@ -9,9 +9,9 @@ identical inputs.  The schema carries a version field, currently "1".
 
 from __future__ import annotations
 
+import decimal
 import json
 import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,34 +26,123 @@ SCHEMA_VERSION = "1"
 _INT_FIELD = re.compile(r"[+-]?[0-9]+")
 
 
+# Size crossovers, measured on CPython 3.11 with the digit limit lifted:
+# below them the builtin quadratic str() and int() are faster than the
+# divide-and-conquer conversions.
+_TO_DECIMAL_CROSSOVER_BITS = 33_000  # about 10,000 digits
+_FROM_DECIMAL_CROSSOVER_DIGITS = 4_300
+# Leaf sizes of the divide-and-conquer conversions.  Decimal(int) takes
+# the binary digits directly, and int() on at most 600 digits stays under
+# 640, the smallest nonzero int<->str digit limit the interpreter accepts,
+# so no leaf can trip that limit.
+_TO_DECIMAL_LEAF_BITS = 128
+_FROM_DECIMAL_LEAF_DIGITS = 600
+
+
 def to_decimal(value: int) -> str:
-    """Exact decimal string, bypassing the interpreter digit guard if needed."""
-    try:
-        return str(value)
-    except ValueError:
-        return _without_digit_guard(str, value)
+    """Exact decimal string of an integer of any size.
+
+    Touches no process-wide state, so it is safe to call from any thread
+    whatever the interpreter's int-to-str digit limit is.
+    """
+    if value.bit_length() < _TO_DECIMAL_CROSSOVER_BITS:
+        try:
+            return str(value)
+        except ValueError:  # the digit limit is set below this value's size
+            pass
+    return str(_int_to_decimal(value))
 
 
 def from_decimal(text: str) -> int:
-    """Parse a decimal literal of any length."""
-    try:
-        return int(text)
-    except ValueError:
-        if _INT_FIELD.fullmatch(text.strip()):
-            return _without_digit_guard(int, text)
-        raise
+    """Parse a decimal literal of any length: optional sign, ASCII digits.
+
+    Surrounding whitespace is ignored; anything else, underscores
+    included, raises ValueError.  Like to_decimal, it is thread-safe and
+    independent of the interpreter's digit limit.
+    """
+    literal = text.strip()
+    if not _INT_FIELD.fullmatch(literal):
+        raise ValueError(f"invalid decimal literal: {text!r}")
+    if len(literal) <= _FROM_DECIMAL_CROSSOVER_DIGITS:
+        try:
+            return int(literal)
+        except ValueError:  # the digit limit is set below this literal's size
+            pass
+    digits = literal.lstrip("+-")
+    value = _digits_to_int(digits)
+    return -value if literal[0] == "-" else value
 
 
-def _without_digit_guard(convert, argument):
-    # Reached on Python 3.11+ for values past the int<->str digit limit
-    # (older versions have no limit).  It lifts a process-wide setting for
-    # the duration of the call, so it is not thread-safe.
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return convert(argument)
-    finally:
-        sys.set_int_max_str_digits(limit)
+def _int_to_decimal(value: int) -> decimal.Decimal:
+    """Exact Decimal equal to value, built by splitting at powers of two.
+
+    Divide and conquer in the manner of CPython 3.12's Lib/_pylong.py:
+    value = hi * 2**w2 + lo, with the Decimal powers of two memoized for
+    the call.  The local context has maximal precision and traps Inexact,
+    so every operation is exact.
+    """
+    two = decimal.Decimal(2)
+    powers = {}
+
+    def power_of_two(w):
+        result = powers.get(w)
+        if result is None:
+            if w <= _TO_DECIMAL_LEAF_BITS:
+                result = two**w
+            elif w - 1 in powers:
+                result = powers[w - 1] + powers[w - 1]
+            else:
+                # Smaller half first, so that the larger is often w-1 of it.
+                result = power_of_two(w >> 1) * power_of_two(w - (w >> 1))
+            powers[w] = result
+        return result
+
+    def convert(n, w):
+        if w <= _TO_DECIMAL_LEAF_BITS:
+            return decimal.Decimal(n)
+        w2 = w >> 1
+        hi = n >> w2
+        lo = n - (hi << w2)
+        return convert(lo, w2) + convert(hi, w - w2) * power_of_two(w2)
+
+    with decimal.localcontext() as context:
+        context.prec = decimal.MAX_PREC
+        context.Emax = decimal.MAX_EMAX
+        context.Emin = decimal.MIN_EMIN
+        context.traps[decimal.Inexact] = True
+        result = convert(abs(value), value.bit_length())
+        return -result if value < 0 else result
+
+
+def _digits_to_int(digits: str) -> int:
+    """Integer value of a string of ASCII digits, by divide and conquer.
+
+    After CPython 3.12's Lib/_pylong.py: value = hi * 10**d + lo, where d
+    is the length of the low half and hi * 10**d is formed as
+    (hi * 5**d) << d, with the powers of five memoized for the call.
+    Leaves of at most _FROM_DECIMAL_LEAF_DIGITS go through int().
+    """
+    powers = {}
+
+    def power_of_five(w):
+        result = powers.get(w)
+        if result is None:
+            if w <= _FROM_DECIMAL_LEAF_DIGITS:
+                result = 5**w
+            elif w - 1 in powers:
+                result = powers[w - 1] * 5
+            else:
+                result = power_of_five(w >> 1) * power_of_five(w - (w >> 1))
+            powers[w] = result
+        return result
+
+    def convert(a, b):
+        if b - a <= _FROM_DECIMAL_LEAF_DIGITS:
+            return int(digits[a:b])
+        mid = (a + b + 1) >> 1
+        return convert(mid, b) + ((convert(a, mid) * power_of_five(b - mid)) << (b - mid))
+
+    return convert(0, len(digits))
 
 
 @dataclass(frozen=True)

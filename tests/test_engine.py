@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -199,6 +200,56 @@ class TestGenerate:
 
     def test_positive_and_nondecreasing_prefix(self, somos5_buffer):
         assert is_positive_nondecreasing(somos5_buffer(300))
+
+
+def _assert_fractions_in_lowest_terms(values):
+    for value in values:
+        assert isinstance(value, Fraction)
+        assert value.denominator > 0
+        assert gcd(value.numerator, value.denominator) == 1
+
+
+class TestRationalAgainstOracle:
+    @pytest.mark.parametrize("k,count", [(4, 60), (5, 60), (6, 50), (7, 50), (8, 30)])
+    def test_all_ones_start(self, k, count):
+        # Somos-8 runs past its first fractional index 17, so its later
+        # windows hold non-integral fractions.
+        buffer = generate(somos_k_spec(k), count, RATIONAL)
+        oracle = fraction_terms(k, SOMOS_SUMMANDS[k], count)
+        assert buffer.values() == oracle
+        _assert_fractions_in_lowest_terms(buffer.values()[k:])
+        if k == 8:
+            assert first_fractional_index(oracle) == 17
+
+    def test_negative_initials(self):
+        # a_6 = 6 divides by a_0 = -1 exactly; a_8 = -15/2 divides by a_2 = -2
+        # from an all-integer window; later windows hold fractions.
+        initials = (-1, 1, -2, 1, 3, -1)
+        spec = SequenceSpec(order=6, summands=SOMOS_SUMMANDS[6], initials=initials)
+        buffer = generate(spec, 20, RATIONAL)
+        oracle = fraction_terms(6, SOMOS_SUMMANDS[6], 20, initials)
+        assert buffer.values() == oracle
+        assert oracle[6] == 6 and oracle[8] == Fraction(-15, 2)
+        _assert_fractions_in_lowest_terms(buffer.values()[6:])
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        k=st.integers(min_value=4, max_value=6),
+        initials=st.lists(st.integers(min_value=-6, max_value=6), min_size=6, max_size=6),
+    )
+    def test_signed_initials(self, k, initials):
+        initials = initials[:k]
+        assume(initials[0] != 0)
+        spec = SequenceSpec(order=k, summands=SOMOS_SUMMANDS[k], initials=initials)
+        try:
+            oracle = fraction_terms(k, SOMOS_SUMMANDS[k], 14, initials)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDenominatorError):
+                generate(spec, 14, RATIONAL)
+            return
+        buffer = generate(spec, 14, RATIONAL)
+        assert buffer.values() == oracle
+        _assert_fractions_in_lowest_terms(buffer.values()[k:])
 
 
 class TestBufferRetention:

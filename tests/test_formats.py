@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import json
 import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from somos import (
@@ -114,14 +116,104 @@ class TestEmitBFile:
             assert from_decimal(to_decimal(value)) == value
 
 
+@contextmanager
+def digit_limit(limit):
+    """Run the body under the given int<->str digit limit (0 lifts it).
+
+    Interpreters without the limit (before 3.11) run the body unchanged.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+# Values at the conversion crossovers (4,300 digits one way, 33,000 bits
+# the other) and the smallest edge cases.
+EDGE_VALUES = [0, 1, -1] + [
+    value
+    for exponent in (4299, 4300, 4301, 9933, 9934, 9935)
+    for value in (10**exponent, 10**exponent - 1, -(10**exponent))
+] + [2**32999 - 1, 2**32999, 2**33000, -(2**32999)]
+
+
+def _random_integer(bits, seed, sign):
+    return sign * random.Random(seed).getrandbits(bits)
+
+
+# Up to 300k bits (about 90k digits), past the largest term Somos-8
+# reaches in 54 rational steps.
+INTEGERS = st.builds(
+    _random_integer,
+    st.integers(min_value=0, max_value=300_000),
+    st.integers(min_value=0, max_value=2**32),
+    st.sampled_from([1, -1]),
+)
+
+
+def assert_exact_under_any_digit_limit(value):
+    with digit_limit(0):
+        expected = str(value)
+    # 640 is the smallest nonzero limit; 4300 is the default.
+    for limit in (0, 640, 4300):
+        with digit_limit(limit):
+            assert to_decimal(value) == expected
+            assert from_decimal(expected) == value
+
+
 class TestDecimalHelpers:
     def test_round_trip(self):
         for value in (0, 1, -1, 10**100, -(10**100)):
             assert from_decimal(to_decimal(value)) == value
 
+    @settings(deadline=None, max_examples=40)
+    @given(INTEGERS)
+    def test_random_values_under_any_digit_limit(self, value):
+        assert_exact_under_any_digit_limit(value)
+
+    @pytest.mark.parametrize(
+        "value", EDGE_VALUES, ids=lambda v: f"{'-' if v < 0 else ''}{v.bit_length()}-bit"
+    )
+    def test_edge_values_under_any_digit_limit(self, value):
+        assert_exact_under_any_digit_limit(value)
+
+    def test_process_digit_limit_is_never_touched(self, monkeypatch):
+        value = random.Random(85119).randrange(10**85118, 10**85119)
+        with digit_limit(0):
+            expected = str(value)
+
+        def refuse(limit):
+            raise AssertionError("the process-wide digit limit was changed")
+
+        with digit_limit(4300), monkeypatch.context() as patch:
+            patch.setattr(sys, "set_int_max_str_digits", refuse, raising=False)
+            assert to_decimal(value) == expected
+            assert to_decimal(-value) == "-" + expected
+            assert from_decimal(expected) == value
+            assert from_decimal("-" + expected) == -value
+
     def test_malformed_decimal_raises(self):
         with pytest.raises(ValueError):
             from_decimal("12x")
+
+    @pytest.mark.parametrize(
+        "text", ["1_000", "1_" + "0" * 5000, "", "+", "- 1", "1.0", "0x10", "\u0661\u0662"]
+    )
+    def test_same_syntax_at_every_length(self, text):
+        # int() alone would take "1_000" and non-ASCII digits, but only
+        # below the crossover; every length follows the b-file syntax.
+        with pytest.raises(ValueError):
+            from_decimal(text)
+
+    def test_sign_and_surrounding_whitespace(self):
+        assert from_decimal(" +42\n") == 42
+        assert from_decimal("-0") == 0
+        assert from_decimal("  -" + "9" * 5000) == -(10**5000 - 1)
 
     def test_term_text(self):
         assert term_text(274) == "274"
