@@ -198,16 +198,18 @@ def next_term(buffer: SequenceBuffer, spec: SequenceSpec, mode: str = INTEGER):
         raise IndexOutOfRangeError(
             f"buffer holds {len(buffer)} terms, need the last {k} to step"
         )
-    window = {i: buffer.term(n - i) for i in range(1, k + 1)}
-    denominator = window[k]
+    window = [buffer.term(n - i) for i in range(1, k + 1)]  # a_{n-1} .. a_{n-k}
+    fractional = False
+    if mode == RATIONAL:
+        fractional = any(v.denominator != 1 for v in window)
+        if not fractional:
+            # .numerator is the integer value of an int or an integral Fraction.
+            window = [v.numerator for v in window]
+    denominator = window[-1]
     if denominator == 0:
         raise ZeroDenominatorError(n)
-    if all(v.denominator == 1 for v in window.values()):
-        # .numerator is the integer value of an int or an integral Fraction.
-        window = {i: v.numerator for i, v in window.items()}
-        denominator = window[k]
-    numerator = sum(window[i] * window[j] for i, j in spec.summands)
-    if mode == RATIONAL and isinstance(numerator, Fraction):
+    numerator = sum(window[i - 1] * window[j - 1] for i, j in spec.summands)
+    if fractional:
         value = numerator / denominator
     else:
         quotient, remainder = divmod(numerator, abs(denominator))

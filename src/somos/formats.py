@@ -26,11 +26,6 @@ SCHEMA_VERSION = "1"
 _INT_FIELD = re.compile(r"[+-]?[0-9]+")
 
 
-# Size crossovers, measured on CPython 3.11 with the digit limit lifted:
-# below them the builtin quadratic str() and int() are faster than the
-# divide-and-conquer conversions.
-_TO_DECIMAL_CROSSOVER_BITS = 33_000  # about 10,000 digits
-_FROM_DECIMAL_CROSSOVER_DIGITS = 4_300
 # Leaf sizes of the divide-and-conquer conversions.  Decimal(int) takes
 # the binary digits directly, and int() on at most 600 digits stays under
 # 640, the smallest nonzero int<->str digit limit the interpreter accepts,
@@ -42,35 +37,31 @@ _FROM_DECIMAL_LEAF_DIGITS = 600
 def to_decimal(value: int) -> str:
     """Exact decimal string of an integer of any size.
 
-    Touches no process-wide state, so it is safe to call from any thread
-    whatever the interpreter's int-to-str digit limit is.
+    str() handles what the interpreter's int-to-str digit limit allows;
+    past it, a divide-and-conquer conversion takes over.  Touches no
+    process-wide state, so it is safe to call from any thread.
     """
-    if value.bit_length() < _TO_DECIMAL_CROSSOVER_BITS:
-        try:
-            return str(value)
-        except ValueError:  # the digit limit is set below this value's size
-            pass
-    return str(_int_to_decimal(value))
+    try:
+        return str(value)
+    except ValueError:  # past the digit limit
+        return str(_int_to_decimal(value))
 
 
 def from_decimal(text: str) -> int:
     """Parse a decimal literal of any length: optional sign, ASCII digits.
 
     Surrounding whitespace is ignored; anything else, underscores
-    included, raises ValueError.  Like to_decimal, it is thread-safe and
-    independent of the interpreter's digit limit.
+    included, raises ValueError.  Like to_decimal, it falls back to a
+    divide-and-conquer conversion past the digit limit and is thread-safe.
     """
     literal = text.strip()
     if not _INT_FIELD.fullmatch(literal):
         raise ValueError(f"invalid decimal literal: {text!r}")
-    if len(literal) <= _FROM_DECIMAL_CROSSOVER_DIGITS:
-        try:
-            return int(literal)
-        except ValueError:  # the digit limit is set below this literal's size
-            pass
-    digits = literal.lstrip("+-")
-    value = _digits_to_int(digits)
-    return -value if literal[0] == "-" else value
+    try:
+        return int(literal)
+    except ValueError:  # past the digit limit
+        value = _digits_to_int(literal.lstrip("+-"))
+        return -value if literal[0] == "-" else value
 
 
 def _int_to_decimal(value: int) -> decimal.Decimal:
@@ -171,10 +162,13 @@ def parse_bfile(text: str) -> BFile:
         if not line or line.startswith("#"):
             continue
         fields = line.split()
-        if len(fields) != 2 or not all(_INT_FIELD.fullmatch(f) for f in fields):
-            raise ParseError(line_no, f"expected '<index> <value>', got {raw!r}")
+        try:
+            if len(fields) != 2 or not _INT_FIELD.fullmatch(fields[0]):
+                raise ValueError
+            value = from_decimal(fields[1])
+        except ValueError:
+            raise ParseError(line_no, f"expected '<index> <value>', got {raw!r}") from None
         index = int(fields[0])
-        value = from_decimal(fields[1])
         if expected is not None and index != expected:
             raise GapError(line_no, expected, index)
         expected = index + 1

@@ -62,6 +62,15 @@ class TestParseBFile:
         with pytest.raises(ParseError):
             parse_bfile("0 1 2\n")
 
+    @pytest.mark.parametrize(
+        "line", ["0 1_000", "0 1_" + "0" * 5000, "0 12x", "0 ١", "x 1", "1_0 1"]
+    )
+    def test_malformed_field_of_any_length_is_a_parse_error(self, line):
+        with pytest.raises(ParseError) as excinfo:
+            parse_bfile("# header\n" + line + "\n")
+        assert excinfo.value.line_no == 2
+        assert str(excinfo.value) == f"line 2: expected '<index> <value>', got {line!r}"
+
     def test_negative_values_and_offset_start(self):
         bfile = parse_bfile("3 -7\n4 9\n")
         assert bfile.entries == ((3, -7), (4, 9))
@@ -120,7 +129,7 @@ class TestEmitBFile:
 def digit_limit(limit):
     """Run the body under the given int<->str digit limit (0 lifts it).
 
-    Interpreters without the limit (before 3.11) run the body unchanged.
+    Interpreters without sys.set_int_max_str_digits run the body unchanged.
     """
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
@@ -133,8 +142,8 @@ def digit_limit(limit):
         sys.set_int_max_str_digits(previous)
 
 
-# Values at the conversion crossovers (4,300 digits one way, 33,000 bits
-# the other) and the smallest edge cases.
+# Values around the default 4,300-digit limit, where the conversions
+# switch, around 10,000 digits (33,000 bits), and the smallest edge cases.
 EDGE_VALUES = [0, 1, -1] + [
     value
     for exponent in (4299, 4300, 4301, 9933, 9934, 9935)
@@ -206,7 +215,7 @@ class TestDecimalHelpers:
     )
     def test_same_syntax_at_every_length(self, text):
         # int() alone would take "1_000" and non-ASCII digits, but only
-        # below the crossover; every length follows the b-file syntax.
+        # within the digit limit; every length follows the b-file syntax.
         with pytest.raises(ValueError):
             from_decimal(text)
 
