@@ -278,12 +278,14 @@ def certify_range(
 
 
 def _failure_reason(certificate: DivisibilityCertificate) -> str:
+    from .formats import to_decimal  # formats imports this module
+
     if certificate.precondition_gcd != 1:
-        return f"precondition gcd = {certificate.precondition_gcd}"
+        return f"precondition gcd = {to_decimal(certificate.precondition_gcd)}"
     for identity in certificate.shifts:
         if not identity.holds:
             return f"shift identity at offset {identity.shift} fails"
     for step in certificate.chain:
         if not step.verified:
             return f"chain step {step.step_no} ({step.kind}) fails"
-    return f"numerator residue {certificate.numerator_residue} != 0"
+    return f"numerator residue {to_decimal(certificate.numerator_residue)} != 0"

@@ -20,6 +20,7 @@ from .coprime import (
     VerificationReport,
     run_lemma_harness,
     verify_coprime_range,
+    window_start,
 )
 from .engine import (
     INTEGER,
@@ -197,7 +198,10 @@ def cmd_verify(args) -> int:
         _print_report(report, args.format)
         return EXIT_CHECK_FAILED
 
-    report = verify_coprime_range(buffer, depth=args.depth)
+    report = verify_coprime_range(buffer, depth=args.depth, spec=spec)
+    if report.checked == 0 and args.format == "text":
+        start = window_start(buffer, args.depth)
+        print(f"note: range below coprime window start (n = {start}); zero windows")
     _print_report(report, args.format)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 

@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .engine import SequenceBuffer, as_integer
+from .engine import SequenceBuffer, SequenceSpec, as_integer
 from .errors import IndexOutOfRangeError
 
 LEMMA_NAMES = ("product", "pairwise", "shift", "cancellation")
@@ -139,8 +139,15 @@ class CoprimeWindowReport:
     passed: bool
 
 
-def verify_coprime_window(buffer: SequenceBuffer, n: int, depth: int = 4) -> CoprimeWindowReport:
-    """Report gcd(a_n, a_{n-i}) for i = 1..depth; passes when all equal 1."""
+def verify_coprime_window(
+    buffer: SequenceBuffer, n: int, depth: int = 4, proven: frozenset[int] = frozenset()
+) -> CoprimeWindowReport:
+    """Report gcd(a_n, a_{n-i}) for i = 1..depth; passes when all equal 1.
+
+    Offsets in proven are reported as gcd 1 without computing it.  Pass
+    only offsets whose coprimality is already established, as
+    verify_coprime_range does from the recurrence identity.
+    """
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
     if not buffer.has_range(n - depth, n):
@@ -149,7 +156,10 @@ def verify_coprime_window(buffer: SequenceBuffer, n: int, depth: int = 4) -> Cop
             f"[{buffer.start_index}, {buffer.next_index})"
         )
     value = as_integer(buffer.term(n))
-    gcds = tuple(gcd(value, as_integer(buffer.term(n - i))) for i in range(1, depth + 1))
+    gcds = tuple(
+        1 if i in proven else gcd(value, as_integer(buffer.term(n - i)))
+        for i in range(1, depth + 1)
+    )
     return CoprimeWindowReport(index=n, depth=depth, gcds=gcds, passed=all(g == 1 for g in gcds))
 
 
@@ -166,22 +176,64 @@ class VerificationReport:
     first_failure_reason: str | None = None
 
 
+def window_start(buffer: SequenceBuffer, depth: int) -> int:
+    """First index verify_coprime_range checks by default."""
+    return max(depth, buffer.start_index + depth)
+
+
 def verify_coprime_range(
     buffer: SequenceBuffer,
     depth: int = 4,
     start: int | None = None,
     stop: int | None = None,
+    spec: SequenceSpec | None = None,
 ) -> VerificationReport:
-    """Run coprime windows for every n in [start, stop); default full coverage."""
+    """Run coprime windows for every n in [start, stop); default full coverage.
+
+    A start past stop is clamped to stop, so an empty range reads [stop, stop).
+
+    Without spec, every window computes its depth gcds.  Given the spec
+    the buffer follows, a window at n derives gcd(a_n, a_{n-o}) = 1 for
+    an offset o instead of computing it, by this argument.  Let o < k,
+    let (i, j) be the only summand of the spec that does not contain o,
+    and let the identity a_n a_{n-k} = sum of a_{n-i'} a_{n-j'} over the
+    summands hold at n.  A prime p dividing a_n and a_{n-o} divides the
+    left side and every summand holding a_{n-o}, so it divides
+    a_{n-i} a_{n-j}, hence a_{n-i} or a_{n-j}.  It then divides both
+    terms of the pair (a_{n-o}, a_{n-i}) or (a_{n-o}, a_{n-j}).  The
+    window at n - min(o, i) holds the first pair at offset |o - i|, and
+    likewise for j.  When both offsets are in 1..depth and both windows
+    lie in [start, n), they have passed, since the loop stops at the
+    first failure; so no such p exists.  Zero is divisible by every
+    prime, so the argument covers zero terms too.
+
+    The identity is evaluated here, exactly, on a_{n-k} .. a_n.  Where
+    one of those terms is missing or not integral, or the identity fails,
+    every gcd of the window is computed.  A derived offset provably
+    passes, so each failure comes from a computed gcd and the report
+    equals the one computed without spec, field for field.  Which offsets
+    qualify follows from spec.summands.  For Somos-5 at depth 2 or more,
+    every offset up to min(depth, 4) is derived from the fourth window of
+    the range on, and offsets from 5 on are always computed.  Somos-6 and
+    Somos-7 have no qualifying offset, since each offset misses at least
+    two of their summands.
+    """
     if start is None:
-        start = max(depth, buffer.start_index + depth)
+        start = window_start(buffer, depth)
     if stop is None:
         stop = buffer.next_index
+    start = min(start, stop)
+    reach = {} if spec is None else _derivable_offsets(spec, depth)
     checked = 0
     for n in range(start, stop):
-        report = verify_coprime_window(buffer, n, depth)
+        proven = frozenset(o for o, back in reach.items() if n - back >= start)
+        if proven and not _identity_holds(buffer, spec, n):
+            proven = frozenset()
+        report = verify_coprime_window(buffer, n, depth, proven)
         checked += 1
         if not report.passed:
+            from .formats import to_decimal  # formats imports this module
+
             offender = next(i + 1 for i, g in enumerate(report.gcds) if g != 1)
             return VerificationReport(
                 check="coprime-window",
@@ -191,9 +243,33 @@ def verify_coprime_range(
                 passed=False,
                 first_failure_index=n,
                 first_failure_reason=(
-                    f"gcd(a_{n}, a_{n - offender}) = {report.gcds[offender - 1]}"
+                    f"gcd(a_{n}, a_{n - offender}) = {to_decimal(report.gcds[offender - 1])}"
                 ),
             )
     return VerificationReport(
         check="coprime-window", start=start, stop=stop, checked=checked, passed=True
     )
+
+
+def _derivable_offsets(spec: SequenceSpec, depth: int) -> dict[int, int]:
+    """Offsets o that verify_coprime_range may derive, each mapped to how
+    many indices back its farther hypothesis window sits."""
+    spec.validate()
+    reach = {}
+    for o in range(1, min(depth, spec.order - 1) + 1):
+        avoiding = [pair for pair in spec.summands if o not in pair]
+        if len(avoiding) == 1 and all(1 <= abs(o - x) <= depth for x in avoiding[0]):
+            reach[o] = max(min(o, x) for x in avoiding[0])
+    return reach
+
+
+def _identity_holds(buffer: SequenceBuffer, spec: SequenceSpec, n: int) -> bool:
+    """Whether a_n a_{n-k} equals the bilinear sum, with a_{n-k} .. a_n
+    present and integral."""
+    k = spec.order
+    if not buffer.has_range(n - k, n):
+        return False
+    terms = [buffer.term(n - d) for d in range(k + 1)]  # a_n .. a_{n-k}
+    if any(t.denominator != 1 for t in terms):
+        return False
+    return terms[0] * terms[k] == sum(terms[i] * terms[j] for i, j in spec.summands)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from somos import SequenceBuffer, generate, somos5_spec
@@ -21,3 +23,14 @@ def somos5_buffer(somos5_values):
         return SequenceBuffer(list(somos5_values[:count]))
 
     return make
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's default 4300-digit int->str limit, restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int->str digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 import random
-from dataclasses import astuple
+import sys
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import assume, given
@@ -18,10 +19,13 @@ from somos import (
     certify_range,
     check_index_shifts,
     gcd,
+    generate,
     somos5_spec,
     somos_k_spec,
     verify_integrality,
 )
+
+from somos.certificate import _failure_reason
 
 from helpers import SOMOS_SUMMANDS, certificate_oracle, first_fractional_index, fraction_terms
 
@@ -228,6 +232,19 @@ class TestCertifyRange:
         assert not report.passed
         assert report.first_failure_index is not None
         assert report.first_failure_reason
+
+    def test_witnesses_past_the_digit_limit(self, digit_limit):
+        values = generate(somos5_spec(), 606).values()
+        shared = values[597]  # a_{n-8} at n = 605
+        values[600] *= shared  # a_{n-5} at n = 605
+        report = certify_range(SequenceBuffer(values), 605, 606)
+        residue = 10**5000 + 1
+        invalid = replace(build_certificate(SequenceBuffer(values[:12]), 10), valid=False)
+        reason = _failure_reason(replace(invalid, numerator_residue=residue))
+        sys.set_int_max_str_digits(0)
+        assert (report.passed, report.first_failure_index) == (False, 605)
+        assert report.first_failure_reason == f"precondition gcd = {shared}"
+        assert reason == f"numerator residue {residue} != 0"
 
 
 class TestCancellationFact:

@@ -95,6 +95,81 @@ class TestVerify:
     def test_missing_input_file_is_usage_error(self, tmp_path, capsys):
         assert main(["verify", "--input", str(tmp_path / "absent.txt")]) == 2
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_range_below_window_start_is_empty(self, capsys, fmt):
+        assert main(["verify", "--count", "6", "--depth", "10", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            payload = json.loads(out)
+            assert (payload["start"], payload["stop"], payload["checked"]) == (6, 6, 0)
+            assert payload["passed"] is True
+        else:
+            assert out == (
+                "note: range below coprime window start (n = 10); zero windows\n"
+                "coprime-window over n in [6, 6): 0 checked, pass\n"
+            )
+
+    @pytest.mark.parametrize(
+        "argv, code, digest",
+        [
+            (["--count", "300"], 0, "43ebe5bb8cf865606a712ae11c7186d2ed05abe3be31d628a90509d10f50376c"),
+            (
+                ["--count", "300", "--format", "json"],
+                0,
+                "99a3102ffbbf9be0a01f094c6df3d310e30b1eb42cd5e7b7854326ee9aa75f6a",
+            ),
+            (
+                ["--count", "300", "--depth", "1"],
+                0,
+                "020ef4b13b6604402e4d2ed0bcbdce2b9d7f30bbac742a9fb00a800b6deb68a5",
+            ),
+            (
+                ["--count", "300", "--depth", "2"],
+                0,
+                "b623cd6a08a42efb208b91cecf306a67b3186bb32190c9a1e5e708c836591a5d",
+            ),
+            (
+                ["--count", "300", "--depth", "5"],
+                0,
+                "2ccbf8efbf34d3192cb1732732a14f81a40fe2fa21d05ef1be4d0800b3627d66",
+            ),
+            (
+                ["--count", "300", "--k", "4"],
+                0,
+                "43ebe5bb8cf865606a712ae11c7186d2ed05abe3be31d628a90509d10f50376c",
+            ),
+            (
+                ["--count", "300", "--k", "6"],
+                1,
+                "f9af2aed504ebf86d7ec257edef03fbf5e3d026a96f71140040b3eeb339951ae",
+            ),
+            (["--input", "fixture"], 0, "b327afa52591c4000e52f797803e360a8dea72ea6ca41f129518a05997cb87e8"),
+            (["--input", "corrupted"], 1, "4839a714d8284b4fefea5c22ec02975048d6233c7c78c250d3e6a5fedc41cc48"),
+            (
+                ["--input", "tail", "--format", "json"],
+                0,
+                "2a089eb867e6dcf53aed5346f037081dccf6783051ceec4c493a72297537df99",
+            ),
+        ],
+    )
+    def test_output_is_byte_stable(self, tmp_path, capsys, argv, code, digest):
+        # SHA-256 of stdout, frozen from windows that compute every gcd.
+        # "corrupted" adds 1 to the fixture's a_40; "tail" starts it at n = 50.
+        lines = FIXTURE.read_text(encoding="utf-8").splitlines()
+        index, value = lines[40].split()
+        files = {
+            "fixture": lines,
+            "corrupted": lines[:40] + [f"{index} {int(value) + 1}"] + lines[41:],
+            "tail": lines[50:],
+        }
+        if "--input" in argv:
+            name = argv[1]
+            path = tmp_path / f"{name}.txt"
+            path.write_text("\n".join(files[name]) + "\n", encoding="utf-8")
+            argv = ["--input", str(path)] + argv[2:]
+        assert main(["verify"] + argv) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
 
 class TestCertify:
     def test_single_certificate_range(self, capsys):

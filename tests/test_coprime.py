@@ -1,23 +1,36 @@
 from __future__ import annotations
 
 import math
+import random
+import sys
+from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import somos.coprime
 from somos import (
+    RATIONAL,
     IndexOutOfRangeError,
+    NonIntegralTermError,
     SequenceBuffer,
+    SequenceSpec,
+    ZeroDenominatorError,
     check_lemma_cancellation,
     check_lemma_pairwise,
     check_lemma_product,
     check_lemma_shift,
     gcd,
+    generate,
     run_lemma_harness,
+    somos5_spec,
+    somos_k_spec,
     verify_coprime_range,
     verify_coprime_window,
 )
+
+from helpers import SOMOS_SUMMANDS
 
 positive = st.integers(min_value=1, max_value=10**6)
 
@@ -181,3 +194,119 @@ class TestVerifyRange:
     def test_explicit_bounds(self, somos5_buffer):
         report = verify_coprime_range(somos5_buffer(100), depth=2, start=10, stop=20)
         assert report.passed and report.checked == 10
+
+    def test_start_past_stop_is_clamped(self, somos5_buffer):
+        report = verify_coprime_range(somos5_buffer(6), depth=10)
+        assert (report.start, report.stop, report.checked, report.passed) == (6, 6, 0, True)
+
+    def test_witness_past_the_digit_limit(self, digit_limit):
+        values = generate(somos5_spec(), 650).values()
+        shared = values[639]
+        values[640] *= shared
+        buffer = SequenceBuffer(values)
+        computed = verify_coprime_range(buffer, start=636)
+        derived = verify_coprime_range(buffer, start=636, spec=somos5_spec())
+        assert derived == computed
+        assert (computed.passed, computed.first_failure_index) == (False, 640)
+        sys.set_int_max_str_digits(0)
+        assert computed.first_failure_reason == f"gcd(a_640, a_639) = {shared}"
+
+
+def _outcome(buffer, depth, **bounds):
+    """The report of verify_coprime_range, or the type and text of what it raised."""
+    try:
+        return verify_coprime_range(buffer, depth, **bounds)
+    except (ValueError, IndexOutOfRangeError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_routes_agree(buffer, spec, depth, **bounds):
+    derived = _outcome(buffer, depth, spec=spec, **bounds)
+    assert derived == _outcome(buffer, depth, **bounds)
+    return derived
+
+
+class TestDerivedWindows:
+    """Windows derived from the recurrence identity against computed gcds."""
+
+    CORRUPTIONS = {
+        "times-neighbour": lambda v, m, rng: v[m] * v[m - 1],
+        "zero": lambda v, m, rng: 0,
+        "negated": lambda v, m, rng: -v[m],
+        "random": lambda v, m, rng: rng.randrange(-(10**12), 10**12),
+    }
+
+    def test_derived_route_skips_the_gcds(self, somos5_buffer, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            somos.coprime, "gcd", lambda a, b: calls.append(1) or math.gcd(a, b)
+        )
+        report = verify_coprime_range(somos5_buffer(200), spec=somos5_spec())
+        assert report.passed and report.checked == 196
+        # window 4 computes 4 gcds, window 5 three, window 6 two, the rest none
+        assert len(calls) == 4 + 3 + 2
+
+    def test_orders_without_a_lone_avoiding_summand_compute_every_gcd(self):
+        assert somos.coprime._derivable_offsets(somos_k_spec(5), 6) == {1: 1, 2: 2, 3: 3, 4: 3}
+        assert somos.coprime._derivable_offsets(somos_k_spec(4), 1) == {1: 1}
+        for k in (6, 7):
+            assert somos.coprime._derivable_offsets(somos_k_spec(k), 6) == {}
+
+    @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+    def test_one_corrupted_term(self, somos5_values, kind):
+        rng = random.Random(kind)
+        spec = somos5_spec()
+        for m in (5, 9, 23, 47, 70):
+            values = list(somos5_values[:80])
+            values[m] = self.CORRUPTIONS[kind](values, m, rng)
+            buffer = SequenceBuffer(values)
+            for depth in range(1, 7):
+                _assert_routes_agree(buffer, spec, depth)
+                _assert_routes_agree(buffer, spec, depth, start=m - 2 + depth, stop=m + 9)
+                _assert_routes_agree(buffer, spec, depth, start=m + 1)
+
+    def test_buffers_starting_past_zero(self, somos5_values):
+        spec = somos5_spec()
+        for offset in (1, 3, 17):
+            clean = SequenceBuffer(somos5_values[offset:90], start_index=offset)
+            values = list(somos5_values[offset:90])
+            values[40] *= values[39]
+            corrupted = SequenceBuffer(values, start_index=offset)
+            for depth in range(1, 7):
+                clean_report = _assert_routes_agree(clean, spec, depth)
+                corrupted_report = _assert_routes_agree(corrupted, spec, depth)
+                if depth <= 4:  # the verified claim; deeper windows may share factors
+                    assert clean_report.passed and not corrupted_report.passed
+
+    def test_non_integral_term_raises_the_same_error(self, somos5_values):
+        for k, source in ((4, generate(somos_k_spec(4), 60).values()), (5, somos5_values[:60])):
+            for m in (12, 30):
+                values = list(source)
+                values[m] = Fraction(1, 2)
+                buffer = SequenceBuffer(values)
+                for depth in range(1, 7):
+                    for start in (None, m, m + 2, m + 4):
+                        bounds = {} if start is None else {"start": start}
+                        _assert_routes_agree(buffer, somos_k_spec(k), depth, **bounds)
+                raised = _outcome(buffer, 4, spec=somos_k_spec(k))
+                assert raised == (ValueError, "term 1/2 is not an integer")
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        k=st.integers(min_value=4, max_value=6),
+        initials=st.lists(st.integers(min_value=-6, max_value=6), min_size=6, max_size=6),
+        depth=st.integers(min_value=1, max_value=6),
+        rational=st.booleans(),
+    )
+    def test_signed_initials(self, k, initials, depth, rational):
+        spec = SequenceSpec(order=k, summands=SOMOS_SUMMANDS[k], initials=initials[:k])
+        try:
+            if rational:
+                buffer = generate(spec, 30, RATIONAL)
+            else:
+                buffer = generate(spec, 30)
+        except NonIntegralTermError as exc:
+            buffer = exc.buffer
+        except ZeroDenominatorError:
+            assume(False)
+        _assert_routes_agree(buffer, spec, depth)

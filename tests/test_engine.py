@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from math import gcd
 
@@ -327,16 +326,6 @@ class TestDigitCount:
 
 # 5001 digits: past the default 4300-digit int->str limit of Python 3.11+.
 HUGE = 10**5000 + 7
-
-
-@pytest.fixture
-def digit_limit():
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this interpreter has no int->str digit limit")
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield
-    sys.set_int_max_str_digits(limit)
 
 
 class TestDigitSafeText:
