@@ -31,6 +31,7 @@ from .coprime import (
     run_lemma_harness,
     verify_coprime_range,
     verify_coprime_window,
+    verify_recurrence_and_windows,
 )
 from .engine import (
     INTEGER,
@@ -129,4 +130,5 @@ __all__ = [
     "verify_coprime_range",
     "verify_coprime_window",
     "verify_integrality",
+    "verify_recurrence_and_windows",
 ]

@@ -242,22 +242,29 @@ def verify_integrality(buffer: SequenceBuffer, spec: SequenceSpec, n: int) -> bo
         as_integer(buffer.term(n - i)) * as_integer(buffer.term(n - j))
         for i, j in spec.summands
     )
-    if denominator == 0 or numerator % denominator != 0:
+    if denominator == 0:
+        return False
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
         return False
     chain_numerator = as_integer(buffer.term(n - 1)) * as_integer(
         buffer.term(n - 4)
     ) + as_integer(buffer.term(n - 2)) * as_integer(buffer.term(n - 3))
-    return numerator // denominator == chain_numerator // certificate.modulus
+    return quotient == chain_numerator // certificate.modulus
 
 
 def certify_range(
     buffer: SequenceBuffer, start: int | None = None, stop: int | None = None
 ) -> VerificationReport:
-    """Build certificates for every n in [start, stop) and aggregate the outcome."""
+    """Build certificates for every n in [start, stop) and aggregate the outcome.
+
+    A start past stop is clamped to stop, so an empty range reads [stop, stop).
+    """
     if start is None:
         start = max(CERTIFICATE_START, buffer.start_index + 10)
     if stop is None:
         stop = buffer.next_index
+    start = min(start, stop)
     checked = 0
     for n in range(start, stop):
         certificate = build_certificate(buffer, n)

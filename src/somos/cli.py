@@ -19,13 +19,12 @@ from .coprime import (
     DEFAULT_SAMPLES,
     VerificationReport,
     run_lemma_harness,
-    verify_coprime_range,
+    verify_recurrence_and_windows,
     window_start,
 )
 from .engine import (
     INTEGER,
     RATIONAL,
-    first_recurrence_violation,
     generate,
     somos5_spec,
 )
@@ -184,21 +183,7 @@ def cmd_verify(args) -> int:
             _print_event(exc.event)
             return EXIT_CHECK_FAILED
 
-    violation = first_recurrence_violation(buffer, spec)
-    if violation is not None:
-        report = VerificationReport(
-            check="recurrence-identity",
-            start=max(buffer.start_index + spec.order, spec.order),
-            stop=buffer.next_index,
-            checked=violation - buffer.start_index - spec.order + 1,
-            passed=False,
-            first_failure_index=violation,
-            first_failure_reason="a_n * a_{n-k} != bilinear sum",
-        )
-        _print_report(report, args.format)
-        return EXIT_CHECK_FAILED
-
-    report = verify_coprime_range(buffer, depth=args.depth, spec=spec)
+    report = verify_recurrence_and_windows(buffer, spec, depth=args.depth)
     if report.checked == 0 and args.format == "text":
         start = window_start(buffer, args.depth)
         print(f"note: range below coprime window start (n = {start}); zero windows")

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from .engine import SequenceBuffer, SequenceSpec, as_integer
-from .errors import IndexOutOfRangeError
+from .errors import IndexOutOfRangeError, SomosError
 
 LEMMA_NAMES = ("product", "pairwise", "shift", "cancellation")
 
@@ -207,14 +207,15 @@ def verify_coprime_range(
     first failure; so no such p exists.  Zero is divisible by every
     prime, so the argument covers zero terms too.
 
-    The identity is evaluated here, exactly, on a_{n-k} .. a_n.  Where
-    one of those terms is missing or not integral, or the identity fails,
-    every gcd of the window is computed.  A derived offset provably
-    passes, so each failure comes from a computed gcd and the report
-    equals the one computed without spec, field for field.  Which offsets
-    qualify follows from spec.summands.  For Somos-5 at depth 2 or more,
-    every offset up to min(depth, 4) is derived from the fourth window of
-    the range on, and offsets from 5 on are always computed.  Somos-6 and
+    The identity is evaluated here, exactly, on a_{n-k} .. a_n, for n
+    from max(start_index + k, k) on.  Where it is not evaluated, one of
+    those terms is not integral, or the identity fails, every gcd of the
+    window is computed.  A derived offset provably passes, so each
+    failure comes from a computed gcd and the report equals the one
+    computed without spec, field for field.  Which offsets qualify
+    follows from spec.summands.  For Somos-5 at depth 2 or more, every
+    offset up to min(depth, 4) is derived from the fourth window of the
+    range on, and offsets from 5 on are always computed.  Somos-6 and
     Somos-7 have no qualifying offset, since each offset misses at least
     two of their summands.
     """
@@ -222,32 +223,105 @@ def verify_coprime_range(
         start = window_start(buffer, depth)
     if stop is None:
         stop = buffer.next_index
-    start = min(start, stop)
-    reach = {} if spec is None else _derivable_offsets(spec, depth)
-    checked = 0
-    for n in range(start, stop):
-        proven = frozenset(o for o, back in reach.items() if n - back >= start)
-        if proven and not _identity_holds(buffer, spec, n):
-            proven = frozenset()
-        report = verify_coprime_window(buffer, n, depth, proven)
-        checked += 1
-        if not report.passed:
-            from .formats import to_decimal  # formats imports this module
+    return _walk(buffer, depth, min(start, stop), stop, spec, report_identity=False)
 
-            offender = next(i + 1 for i, g in enumerate(report.gcds) if g != 1)
-            return VerificationReport(
-                check="coprime-window",
-                start=start,
-                stop=stop,
-                checked=checked,
-                passed=False,
-                first_failure_index=n,
-                first_failure_reason=(
-                    f"gcd(a_{n}, a_{n - offender}) = {to_decimal(report.gcds[offender - 1])}"
-                ),
-            )
-    return VerificationReport(
+
+def verify_recurrence_and_windows(
+    buffer: SequenceBuffer, spec: SequenceSpec, depth: int = 4
+) -> VerificationReport:
+    """Check the recurrence identity and the coprime windows of a whole buffer in one pass.
+
+    The identity a_n a_{n-k} = sum of a_{n-i} a_{n-j} is evaluated once,
+    exactly, at every n in [max(start_index + k, k), next_index), and
+    the windows run over the range verify_coprime_range covers by
+    default, deriving offsets from those same evaluations.  The first
+    identity violation is reported as a "recurrence-identity" failure,
+    in preference to any coprime failure, an earlier one included: after
+    a window fails or raises, the pass goes on evaluating the identity
+    alone.  Without a violation the result is exactly that of
+    verify_coprime_range(buffer, depth, spec=spec), and what a window
+    raised is raised.  The identity is checked on integral and rational
+    terms alike, as first_recurrence_violation does.
+    """
+    stop = buffer.next_index
+    start = min(window_start(buffer, depth), stop)
+    return _walk(buffer, depth, start, stop, spec, report_identity=True)
+
+
+def _walk(
+    buffer: SequenceBuffer,
+    depth: int,
+    start: int,
+    stop: int,
+    spec: SequenceSpec | None,
+    report_identity: bool,
+) -> VerificationReport:
+    """Windows over [start, stop), each identity evaluated at most once.
+
+    The identity at n is evaluated where report_identity asks for it or
+    a window at n has offsets to derive; see verify_coprime_range and
+    verify_recurrence_and_windows for the two uses.
+    """
+    reach = {} if spec is None else _derivable_offsets(spec, depth)
+    lo = stop if spec is None else max(buffer.start_index + spec.order, spec.order)
+    first = min(start, lo) if report_identity else start
+    outcome = None  # the first failing window's report, or what a window raised
+    checked = 0
+    for n in range(first, stop):
+        windowed = outcome is None and n >= start
+        proven = frozenset(o for o, back in reach.items() if windowed and n - back >= start)
+        if n < lo:
+            proven = frozenset()
+        elif report_identity or proven:
+            holds, integral = _identity(buffer, spec, n)
+            if not holds and report_identity:
+                return VerificationReport(
+                    check="recurrence-identity",
+                    start=lo,
+                    stop=stop,
+                    checked=n - buffer.start_index - spec.order + 1,
+                    passed=False,
+                    first_failure_index=n,
+                    first_failure_reason="a_n * a_{n-k} != bilinear sum",
+                )
+            if not (holds and integral):
+                proven = frozenset()
+        if not windowed:
+            continue
+        try:
+            report = verify_coprime_window(buffer, n, depth, proven)
+        except (ValueError, SomosError) as exc:
+            outcome = exc
+        else:
+            checked += 1
+            if not report.passed:
+                outcome = _window_failure(report, start, stop, checked)
+        if outcome is not None and not report_identity:
+            break
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome or VerificationReport(
         check="coprime-window", start=start, stop=stop, checked=checked, passed=True
+    )
+
+
+def _window_failure(
+    report: CoprimeWindowReport, start: int, stop: int, checked: int
+) -> VerificationReport:
+    from .formats import to_decimal  # formats imports this module
+
+    n = report.index
+    offender = next(i + 1 for i, g in enumerate(report.gcds) if g != 1)
+    return VerificationReport(
+        check="coprime-window",
+        start=start,
+        stop=stop,
+        checked=checked,
+        passed=False,
+        first_failure_index=n,
+        first_failure_reason=(
+            f"gcd(a_{n}, a_{n - offender}) = {to_decimal(report.gcds[offender - 1])}"
+        ),
     )
 
 
@@ -263,13 +337,9 @@ def _derivable_offsets(spec: SequenceSpec, depth: int) -> dict[int, int]:
     return reach
 
 
-def _identity_holds(buffer: SequenceBuffer, spec: SequenceSpec, n: int) -> bool:
-    """Whether a_n a_{n-k} equals the bilinear sum, with a_{n-k} .. a_n
-    present and integral."""
-    k = spec.order
-    if not buffer.has_range(n - k, n):
-        return False
-    terms = [buffer.term(n - d) for d in range(k + 1)]  # a_n .. a_{n-k}
-    if any(t.denominator != 1 for t in terms):
-        return False
-    return terms[0] * terms[k] == sum(terms[i] * terms[j] for i, j in spec.summands)
+def _identity(buffer: SequenceBuffer, spec: SequenceSpec, n: int) -> tuple[bool, bool]:
+    """Whether a_n a_{n-k} equals the bilinear sum, and whether a_{n-k} ..
+    a_n are all integral; those terms must be in the buffer."""
+    terms = [buffer.term(n - d) for d in range(spec.order + 1)]  # a_n .. a_{n-k}
+    holds = terms[0] * terms[-1] == sum(terms[i] * terms[j] for i, j in spec.summands)
+    return holds, all(t.denominator == 1 for t in terms)

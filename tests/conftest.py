@@ -4,7 +4,15 @@ import sys
 
 import pytest
 
-from somos import SequenceBuffer, generate, somos5_spec
+from somos import (
+    SequenceBuffer,
+    SomosError,
+    VerificationReport,
+    first_recurrence_violation,
+    generate,
+    somos5_spec,
+    verify_coprime_range,
+)
 
 SESSION_TERMS = 501
 
@@ -34,3 +42,33 @@ def digit_limit():
     sys.set_int_max_str_digits(4300)
     yield
     sys.set_int_max_str_digits(limit)
+
+
+@pytest.fixture
+def two_stage_verify():
+    """What `somos verify` reports, composed from two passes over the buffer.
+
+    The recurrence identity is checked over every covered index first and
+    wins when it fails; otherwise the windows run, each computing all its
+    gcds.  Returns the report, or the type and text of what was raised.
+    """
+
+    def run(buffer, spec, depth):
+        try:
+            violation = first_recurrence_violation(buffer, spec)
+            if violation is None:
+                return verify_coprime_range(buffer, depth)
+        except (ValueError, SomosError) as exc:
+            return type(exc), str(exc)
+        k = spec.order
+        return VerificationReport(
+            check="recurrence-identity",
+            start=max(buffer.start_index + k, k),
+            stop=buffer.next_index,
+            checked=violation - buffer.start_index - k + 1,
+            passed=False,
+            first_failure_index=violation,
+            first_failure_reason="a_n * a_{n-k} != bilinear sum",
+        )
+
+    return run

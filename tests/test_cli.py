@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from somos import SequenceBuffer, emit_bfile, emit_report_json, generate, somos_k_spec
 from somos.cli import main
 
 from helpers import SOMOS_SUMMANDS, first_fractional_index, fraction_terms
@@ -170,6 +171,36 @@ class TestVerify:
         assert main(["verify"] + argv) == code
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_report_equals_the_two_stage_composition(self, tmp_path, capsys, two_stage_verify, k):
+        spec = somos_k_spec(k)
+        clean = generate(spec, 60).values()
+        path = tmp_path / "terms.txt"
+        for m, start in ((None, 0), (7, 0), (33, 0), (33, 20), (59, 41)):
+            values = list(clean)
+            if m is not None:
+                values[m] += 1
+            buffer = SequenceBuffer(values[start:], start_index=start)
+            path.write_text(emit_bfile(buffer), encoding="utf-8")
+            for depth in (1, 4, 6, 10):
+                argv = ["verify", "--k", str(k), "--input", str(path), "--depth", str(depth)]
+                code = main(argv + ["--format", "json"])
+                expected = two_stage_verify(buffer, spec, depth)
+                assert capsys.readouterr().out == emit_report_json(expected) + "\n"
+                assert code == (0 if expected.passed else 1)
+
+    def test_identity_violation_outranks_an_earlier_window_failure(self, tmp_path, capsys):
+        # Somos-6 windows first fail at n = 8 (gcd(a_8, a_6) = 3)
+        values = generate(somos_k_spec(6), 40).values()
+        values[30] += 1
+        path = tmp_path / "somos6.txt"
+        path.write_text(emit_bfile(SequenceBuffer(values)), encoding="utf-8")
+        assert main(["verify", "--k", "6", "--input", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "recurrence-identity over n in [6, 40): 25 checked, FAIL; "
+            "first failure at n = 30 (a_n * a_{n-k} != bilinear sum)\n"
+        )
+
 
 class TestCertify:
     def test_single_certificate_range(self, capsys):
@@ -182,6 +213,20 @@ class TestCertify:
         out = capsys.readouterr().out
         assert "range below certificate start" in out
         assert "0 checked" in out
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_range_below_start_is_clamped_to_stop(self, capsys, fmt):
+        assert main(["certify", "--count", "3", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            payload = json.loads(out)
+            assert (payload["start"], payload["stop"], payload["checked"]) == (3, 3, 0)
+            assert payload["passed"] is True
+        else:
+            assert out == (
+                "note: range below certificate start (n = 10); zero certificates\n"
+                "certificate over n in [3, 3): 0 checked, pass\n"
+            )
 
     def test_single_index_json(self, capsys):
         assert main(["certify", "--index", "10", "--format", "json"]) == 0

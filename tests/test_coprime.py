@@ -4,6 +4,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,25 +13,31 @@ from hypothesis import strategies as st
 import somos.coprime
 from somos import (
     RATIONAL,
+    BFile,
     IndexOutOfRangeError,
     NonIntegralTermError,
     SequenceBuffer,
     SequenceSpec,
     ZeroDenominatorError,
+    buffer_from_bfile,
     check_lemma_cancellation,
     check_lemma_pairwise,
     check_lemma_product,
     check_lemma_shift,
     gcd,
     generate,
+    parse_bfile,
     run_lemma_harness,
     somos5_spec,
     somos_k_spec,
     verify_coprime_range,
     verify_coprime_window,
+    verify_recurrence_and_windows,
 )
 
 from helpers import SOMOS_SUMMANDS
+
+FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "b006721.txt"
 
 positive = st.integers(min_value=1, max_value=10**6)
 
@@ -310,3 +317,114 @@ class TestDerivedWindows:
         except ZeroDenominatorError:
             assume(False)
         _assert_routes_agree(buffer, spec, depth)
+
+
+def _one_pass(buffer, spec, depth):
+    """The report of verify_recurrence_and_windows, or the type and text of what it raised."""
+    try:
+        return verify_recurrence_and_windows(buffer, spec, depth)
+    except (ValueError, IndexOutOfRangeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestOnePassVerify:
+    """verify_recurrence_and_windows against the identity pass followed by all-gcd windows."""
+
+    CORRUPTIONS = {
+        "plus-one": lambda v, m: v[m] + 1,
+        "zero": lambda v, m: 0,
+        "negated": lambda v, m: -v[m],
+        "times-neighbour": lambda v, m: v[m] * v[m - 1],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_one_corrupted_term(self, two_stage_verify, k, kind):
+        spec = somos_k_spec(k)
+        clean = generate(spec, 70).values()
+        for m in (k, 9, 23, 47, 69):
+            values = list(clean)
+            values[m] = self.CORRUPTIONS[kind](values, m)
+            buffer = SequenceBuffer(values)
+            for depth in range(1, 7):
+                report = _one_pass(buffer, spec, depth)
+                assert report == two_stage_verify(buffer, spec, depth)
+                if values[m] != clean[m]:
+                    assert report.check == "recurrence-identity"
+
+    def test_clean_buffers(self, two_stage_verify):
+        for k in (4, 5, 6):
+            spec = somos_k_spec(k)
+            buffer = generate(spec, 70)
+            for depth in range(1, 7):
+                assert _one_pass(buffer, spec, depth) == two_stage_verify(buffer, spec, depth)
+
+    def test_offset_bfile_slices(self, two_stage_verify):
+        entries = parse_bfile(FIXTURE.read_text(encoding="utf-8")).entries
+        spec = somos5_spec()
+        for lo, hi in ((1, 40), (50, 120), (150, 200)):
+            clean = buffer_from_bfile(BFile(entries[lo:hi]))
+            assert clean.start_index == lo
+            for m in (lo, lo + 3, lo + 11, hi - 1):
+                values = clean.values()
+                values[m - lo] += 1
+                corrupted = SequenceBuffer(values, start_index=lo)
+                for depth in range(1, 7):
+                    for buffer in (clean, corrupted):
+                        report = _one_pass(buffer, spec, depth)
+                        assert report == two_stage_verify(buffer, spec, depth)
+                    assert report.check == "recurrence-identity"
+
+    def test_identity_indices_before_the_first_window(self, two_stage_verify, somos5_values):
+        spec = somos5_spec()
+        for count in (5, 6, 8, 10, 12):
+            for m in range(5, count):
+                values = list(somos5_values[:count])
+                values[m] += 1
+                buffer = SequenceBuffer(values)
+                report = _one_pass(buffer, spec, 10)
+                assert report == two_stage_verify(buffer, spec, 10)
+                assert (report.first_failure_index, report.start) == (m, 5)
+            clean = SequenceBuffer(somos5_values[:count])
+            report = _one_pass(clean, spec, 10)
+            assert report == two_stage_verify(clean, spec, 10)
+            if count <= 10:  # deeper windows may share factors; these have none
+                assert (report.passed, report.checked, report.start) == (True, 0, count)
+
+    def test_identity_violation_outranks_an_earlier_window_failure(self, two_stage_verify):
+        spec = somos_k_spec(6)
+        values = generate(spec, 40).values()
+        clean = SequenceBuffer(values)
+        window_failure = verify_coprime_range(clean, 4)
+        assert window_failure.first_failure_index == 8  # gcd(a_8, a_6) = 3
+        values[30] += 1
+        buffer = SequenceBuffer(values)
+        report = _one_pass(buffer, spec, 4)
+        assert report == two_stage_verify(buffer, spec, 4)
+        assert (report.check, report.first_failure_index) == ("recurrence-identity", 30)
+        assert _one_pass(clean, spec, 4) == window_failure
+
+    def test_identity_violation_outranks_a_window_that_raises(self, two_stage_verify):
+        rational = generate(somos_k_spec(8), 30, RATIONAL).values()
+        integral = generate(somos5_spec(), 30).values()
+        for k, values, depth in ((8, rational, 1), (5, integral, 0), (5, integral, -1)):
+            spec = somos_k_spec(k)
+            raised = _one_pass(SequenceBuffer(values), spec, depth)
+            assert raised == two_stage_verify(SequenceBuffer(values), spec, depth)
+            assert raised[0] is ValueError
+            values = list(values)
+            values[27] += 1
+            buffer = SequenceBuffer(values)
+            report = _one_pass(buffer, spec, depth)
+            assert report == two_stage_verify(buffer, spec, depth)
+            assert (report.check, report.first_failure_index) == ("recurrence-identity", 27)
+
+    def test_one_identity_evaluation_per_index(self, somos5_buffer, monkeypatch):
+        evaluated = []
+        identity = somos.coprime._identity
+        monkeypatch.setattr(
+            somos.coprime, "_identity", lambda b, s, n: evaluated.append(n) or identity(b, s, n)
+        )
+        report = verify_recurrence_and_windows(somos5_buffer(300), somos5_spec())
+        assert report.passed and report.checked == 296
+        assert evaluated == list(range(5, 300))
