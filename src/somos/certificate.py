@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coprime import VerificationReport, gcd
-from .engine import SequenceBuffer, SequenceSpec, as_integer
+from .engine import SequenceBuffer, SequenceSpec, _divmod, as_integer
 from .errors import IndexOutOfRangeError, InvalidChainError, ZeroDenominatorError
 
 EXACT_REWRITE = "exact-rewrite"
@@ -190,7 +190,7 @@ def build_certificate(
             verified = previous - value == dropped
         # A verified step differs from its predecessor by 0 or by a
         # multiple of m, so only a failing step needs the reduction.
-        congruent = verified or (previous - value) % m == 0
+        congruent = verified or _divmod(previous - value, m)[1] == 0
         chain.append(
             ChainStep(
                 step_no=step_no,
@@ -203,7 +203,7 @@ def build_certificate(
         )
         previous = value
 
-    numerator_residue = numerator % m
+    numerator_residue = _divmod(numerator, m)[1]
     valid = (
         precondition_gcd == 1
         and all(identity.holds for identity in shifts)
@@ -244,13 +244,13 @@ def verify_integrality(buffer: SequenceBuffer, spec: SequenceSpec, n: int) -> bo
     )
     if denominator == 0:
         return False
-    quotient, remainder = divmod(numerator, denominator)
+    quotient, remainder = _divmod(numerator, denominator)
     if remainder:
         return False
     chain_numerator = as_integer(buffer.term(n - 1)) * as_integer(
         buffer.term(n - 4)
     ) + as_integer(buffer.term(n - 2)) * as_integer(buffer.term(n - 3))
-    return quotient == chain_numerator // certificate.modulus
+    return quotient == _divmod(chain_numerator, certificate.modulus)[0]
 
 
 def certify_range(

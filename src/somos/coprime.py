@@ -279,7 +279,7 @@ def _walk(
                     check="recurrence-identity",
                     start=lo,
                     stop=stop,
-                    checked=n - buffer.start_index - spec.order + 1,
+                    checked=n - lo + 1,
                     passed=False,
                     first_failure_index=n,
                     first_failure_reason="a_n * a_{n-k} != bilinear sum",

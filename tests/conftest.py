@@ -60,12 +60,12 @@ def two_stage_verify():
                 return verify_coprime_range(buffer, depth)
         except (ValueError, SomosError) as exc:
             return type(exc), str(exc)
-        k = spec.order
+        start = max(buffer.start_index + spec.order, spec.order)
         return VerificationReport(
             check="recurrence-identity",
-            start=max(buffer.start_index + k, k),
+            start=start,
             stop=buffer.next_index,
-            checked=violation - buffer.start_index - k + 1,
+            checked=violation - start + 1,
             passed=False,
             first_failure_index=violation,
             first_failure_reason="a_n * a_{n-k} != bilinear sum",

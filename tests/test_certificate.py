@@ -167,6 +167,27 @@ class TestCertificateOracle:
                 invalid += not certificate.valid
         assert invalid > 0
 
+    @pytest.mark.parametrize("kind", ["plus-one", "negated"])
+    def test_corrupted_term_past_the_division_crossover(self, somos5_values, kind):
+        # a_435 has about 19,000 bits.  The certificates whose windows hold
+        # it reduce their residues and failing congruences through
+        # engine._divmod, the oracle through the builtin.
+        values = list(somos5_values[:450])
+        values[435] = values[435] + 1 if kind == "plus-one" else -values[435]
+        buffer = SequenceBuffer(values)
+        residues = 0
+        for n in range(436, 446):
+            certificate = build_certificate(buffer, n)
+            assert astuple(certificate) == certificate_oracle(values, n)
+            residues += certificate.numerator_residue != 0
+        assert residues >= 4
+        report = certify_range(buffer, 430, 450)
+        assert (report.checked, report.first_failure_index, report.first_failure_reason) == (
+            7,
+            436,
+            "shift identity at offset 1 fails",
+        )
+
     def test_random_windows_with_failing_steps(self):
         # Small signed terms, so failing steps land on both sides of the
         # congruence that is only reduced when a step fails.

@@ -201,6 +201,21 @@ class TestVerify:
             "first failure at n = 30 (a_n * a_{n-k} != bilinear sum)\n"
         )
 
+    def test_identity_count_on_a_negative_start_index(self, tmp_path, capsys):
+        # The fixture's first 60 terms re-indexed from -7, with the term
+        # at n = 23 tripled: the identity is walked from n = 5, so the
+        # failure at n = 23 is the 19th index checked.
+        lines = FIXTURE.read_text(encoding="utf-8").splitlines()[:60]
+        values = [int(line.split()[1]) for line in lines]
+        values[23 + 7] *= 3
+        path = tmp_path / "negative.txt"
+        path.write_text("".join(f"{m - 7} {v}\n" for m, v in enumerate(values)), encoding="utf-8")
+        assert main(["verify", "--input", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "recurrence-identity over n in [5, 53): 19 checked, FAIL; "
+            "first failure at n = 23 (a_n * a_{n-k} != bilinear sum)\n"
+        )
+
 
 class TestCertify:
     def test_single_certificate_range(self, capsys):

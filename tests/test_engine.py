@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -27,6 +28,7 @@ from somos import (
     somos5_spec,
     somos_k_spec,
 )
+from somos.engine import _DIV_LIMIT, _divmod
 from somos.errors import int_text
 
 from helpers import SOMOS_SUMMANDS, first_fractional_index, fraction_terms
@@ -130,6 +132,27 @@ class TestNextTerm:
         spec = SequenceSpec(order=5, summands=((1, 4), (2, 3)), initials=(-7, 4, 1, 1, 5))
         assert next_term(new_state(spec), spec) == 21 // -7 == -3
 
+    def test_witnesses_past_the_division_crossover(self):
+        # The step at n = 700 divides a 100,000-bit numerator by a
+        # 50,000-bit a_{n-5}; each witness must be the builtin divmod's.
+        spec = somos5_spec()
+        n = 700
+        clean = generate(spec, n).values()
+        nudged = list(clean)
+        nudged[n - 1] += 1
+        for values in (nudged, nudged[: n - 5] + [-nudged[n - 5]] + nudged[n - 4 :]):
+            numerator = values[n - 1] * values[n - 4] + values[n - 2] * values[n - 3]
+            denominator = values[n - 5]
+            assert abs(denominator).bit_length() > 2 * _DIV_LIMIT
+            event = next_term(SequenceBuffer(values), spec)
+            assert isinstance(event, NonIntegralEvent)
+            expected = (n, numerator, denominator, numerator % abs(denominator))
+            assert (event.index, event.numerator, event.denominator, event.remainder) == expected
+            assert 0 < event.remainder < abs(denominator)
+        negated = clean[: n - 5] + [-clean[n - 5]] + clean[n - 4 :]
+        step = clean[n - 1] * clean[n - 4] + clean[n - 2] * clean[n - 3]
+        assert next_term(SequenceBuffer(negated), spec) == step // -clean[n - 5] < 0
+
     def test_zero_denominator(self):
         spec = SequenceSpec(order=5, summands=((1, 4), (2, 3)), initials=(0, 1, 1, 1, 1))
         buffer = new_state(spec)
@@ -145,6 +168,67 @@ class TestNextTerm:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             next_term(new_state(somos5_spec()), somos5_spec(), "float")
+
+
+@st.composite
+def operands(draw, min_bits, max_bits):
+    """Signed ints of min_bits..max_bits bits: random, all ones, or a power of two."""
+    bits = draw(st.integers(min_value=min_bits, max_value=max_bits))
+    if bits == 0:
+        return 0
+    shape = draw(st.sampled_from(("random", "ones", "power")))
+    if shape == "ones":
+        value = (1 << bits) - 1
+    elif shape == "power":
+        value = 1 << (bits - 1)
+    else:
+        seed = draw(st.integers(min_value=0, max_value=2**32))
+        value = random.Random(seed).getrandbits(bits) | 1 << (bits - 1)
+    return draw(st.sampled_from((1, -1))) * value
+
+
+class TestDivmod:
+    """engine._divmod is the builtin divmod, for every pair of ints."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(a=operands(0, 6 * _DIV_LIMIT), b=operands(1, 3 * _DIV_LIMIT))
+    def test_signed_operands(self, a, b):
+        assert _divmod(a, b) == divmod(a, b)
+
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data(), n=st.integers(min_value=_DIV_LIMIT - 8, max_value=4 * _DIV_LIMIT + 8))
+    def test_odd_divisors_straddling_the_crossover(self, data, n):
+        # An odd divisor length past the limit takes the doubling branch.
+        n |= 1
+        b = data.draw(operands(n, n))
+        a = data.draw(operands(n + _DIV_LIMIT - 8, 2 * n + 1))
+        assert _divmod(a, b) == divmod(a, b)
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data(), n=st.integers(min_value=_DIV_LIMIT + 1, max_value=2 * _DIV_LIMIT))
+    def test_dividends_of_many_divisor_lengths(self, data, n):
+        b = data.draw(operands(n, n))
+        a = data.draw(operands(3 * n, 9 * n))
+        assert _divmod(a, b) == divmod(a, b)
+
+    @pytest.mark.parametrize("n", [8192, 8193, 12_000])
+    def test_saturated_quotient_digit_and_its_correction(self, n):
+        # b = 2^(n-1) + 2^(n/2) - 1 and a = 2^(2n-1): the top n/2 bits of
+        # a >> n equal those of b, so the first quotient digit is taken as
+        # 2^(n/2) - 1, which overshoots and is corrected by adding b back.
+        # Odd n takes the doubling branch instead.
+        half = (n + 1) // 2
+        b = 1 << (n - 1) | (1 << half) - 1
+        a = 1 << (2 * n - 1)
+        if n % 2 == 0:
+            assert (a >> n) >> half == b >> half
+        for x, y in ((a, b), (-a, b), (a, -b), (-a, -b), (a - 1, b), (a + b, b)):
+            assert _divmod(x, y) == divmod(x, y)
+
+    @pytest.mark.parametrize("a", [0, 1, -5, 1 << 10_000, -(1 << 10_000)])
+    def test_zero_divisor(self, a):
+        with pytest.raises(ZeroDivisionError):
+            _divmod(a, 0)
 
 
 class TestGenerate:
