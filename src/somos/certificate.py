@@ -1,38 +1,44 @@
 """Per-index divisibility certificates for the Somos-5 recurrence.
 
-A certificate at index n re-derives, in exact integer arithmetic, that
-a_{n-5} divides the bilinear numerator a_{n-1}a_{n-4} + a_{n-2}a_{n-3}:
+A certificate at index n shows, in exact integer arithmetic, that a_{n-5}
+divides the bilinear numerator a_{n-1}a_{n-4} + a_{n-2}a_{n-3}.  Its
+validity rests on three facts, all computed when it is built:
 
   * the five index-shift identities, i.e. the defining recurrence
     re-instantiated at n-1 .. n-5 (each reaches back to a_{n-10}),
   * the cancellation precondition gcd(a_{n-5}, a_{n-8}a_{n-9}) = 1, which
     lets the multiplier a_{n-8}a_{n-9} be removed again at the end,
-  * an eight-step reduction chain that multiplies the numerator by
-    a_{n-8}a_{n-9}, rewrites it with the shift identities, drops explicit
-    multiples of a_{n-5}, and ends at a_{n-3}a_{n-4}a_{n-5}a_{n-10}, which
-    carries a_{n-5} as a literal factor.
+  * the residue of the numerator modulo a_{n-5}, which must be zero.
 
-Every line is evaluated as a concrete integer from one table of
-pairwise products a_{n-i}a_{n-j}, computed once per certificate.  The
-shift identities take both sides from it, and chain lines 2, 4 and 6
-reuse the identities' right-hand sides rather than summing those
-products again.  Exact-rewrite steps must reproduce the previous value
-bit-for-bit; drop-multiple steps must fall short of it by exactly the
-discarded products.  Those products, like the last line, are built as
-a_{n-5} times a cofactor, so they are multiples of the modulus by
-construction and are not reduced again.  congruent_to_prev follows from
-a verified step and is reduced modulo a_{n-5} only on a failing one.
-The residue of the numerator modulo a_{n-5} stays as an independent end
-check.  The chain shape is specific to order 5; other orders get
-integrality scanning instead (see scanner).
+The eight-step reduction chain displays how these facts combine: it
+multiplies the numerator by a_{n-8}a_{n-9}, rewrites it with the shift
+identities, drops explicit multiples of a_{n-5}, and ends at
+a_{n-3}a_{n-4}a_{n-5}a_{n-10}, which carries a_{n-5} as a literal factor.
+Each step's difference, less what it drops, is a fixed polynomial
+combination of the shift identities (tests/test_certificate.py expands
+it symbolically), so no step can fail while all five shifts hold and the
+chain adds nothing to validity.  It is therefore evaluated exactly when
+it is read, from the window of ten terms the certificate keeps, and
+cached: every line is computed and compared exactly from one table of
+pairwise products a_{n-i}a_{n-j}.  Chain lines 2, 4 and 6 reuse the
+identities' right-hand sides rather than summing those products again.
+Exact-rewrite steps must reproduce the previous value bit-for-bit;
+drop-multiple steps must fall short of it by exactly the discarded
+products.  Those products, like the last line, are built as a_{n-5}
+times a cofactor, so they are multiples of the modulus by construction
+and are not reduced again.  congruent_to_prev follows from a verified
+step and is reduced modulo a_{n-5} only on a failing one.  The chain
+shape is specific to order 5; other orders get integrality scanning
+instead (see scanner).
 
-Certificates start at n = 10 because the chain references a_{n-10}; the
+Certificates start at n = 10 because the shifts reference a_{n-10}; the
 ten earlier terms are integral by inspection.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .coprime import VerificationReport, gcd
 from .engine import SequenceBuffer, SequenceSpec, _divmod, as_integer
@@ -43,12 +49,14 @@ DROP_MULTIPLE = "drop-multiple"
 
 CERTIFICATE_START = 10
 
-# Index pairs (i, j) of the products a_{n-i} a_{n-j} a certificate uses:
-# the three of each shift identity s = 1..5, the numerator, the
-# multiplier a_{n-8} a_{n-9}, and the two outer factors of chain line 2.
+# Index pairs (i, j) of the products a_{n-i} a_{n-j} a certificate's
+# facts use: the three of each shift identity s = 1..5, the numerator and
+# the multiplier a_{n-8} a_{n-9}.  The chain adds the two outer factors
+# of its line 2.
 _PAIRS = tuple(
     pair for s in range(1, 6) for pair in ((s, s + 5), (s + 1, s + 4), (s + 2, s + 3))
-) + ((1, 4), (2, 3), (8, 9), (1, 8), (2, 9))
+) + ((1, 4), (2, 3), (8, 9))
+_CHAIN_PAIRS = _PAIRS + ((1, 8), (2, 9))
 
 
 @dataclass(frozen=True)
@@ -81,15 +89,25 @@ class ChainStep:
 
 @dataclass(frozen=True)
 class DivisibilityCertificate:
-    """Machine-checkable transcript that a_{n-5} divides the bilinear numerator."""
+    """Machine-checkable transcript that a_{n-5} divides the bilinear numerator.
+
+    valid follows from the shifts, the precondition and the residue alone.
+    window[d] = a_{n-d} for d = 1..10 (window[0] is unused); the chain is
+    evaluated from it on first read and cached.
+    """
 
     index: int
     modulus: int
     precondition_gcd: int
     shifts: tuple[IndexShiftIdentity, ...]
-    chain: tuple[ChainStep, ...]
     numerator_residue: int
     valid: bool
+    window: tuple[int, ...] = field(repr=False)
+
+    @cached_property
+    def chain(self) -> tuple[ChainStep, ...]:
+        """The eight lines of the reduction chain, each evaluated and compared exactly."""
+        return _evaluate_chain(self.window)
 
 
 def _require_window(buffer: SequenceBuffer, n: int) -> None:
@@ -110,9 +128,11 @@ def _window(buffer: SequenceBuffer, n: int) -> tuple[int, ...]:
     return (0,) + tuple(as_integer(buffer.term(n - d)) for d in range(1, 11))
 
 
-def _pairwise_products(t: tuple[int, ...]) -> dict[tuple[int, int], int]:
-    """p[i, j] = t[i] * t[j] for the pairs the shift identities and the chain use."""
-    return {(i, j): t[i] * t[j] for i, j in _PAIRS}
+def _pairwise_products(
+    t: tuple[int, ...], pairs: tuple[tuple[int, int], ...]
+) -> dict[tuple[int, int], int]:
+    """p[i, j] = t[i] * t[j] for the given pairs."""
+    return {(i, j): t[i] * t[j] for i, j in pairs}
 
 
 def _shift_identities(p: dict[tuple[int, int], int]) -> tuple[IndexShiftIdentity, ...]:
@@ -126,7 +146,7 @@ def _shift_identities(p: dict[tuple[int, int], int]) -> tuple[IndexShiftIdentity
 
 def check_index_shifts(buffer: SequenceBuffer, n: int) -> tuple[IndexShiftIdentity, ...]:
     """Evaluate the five shifted recurrence identities exactly, shifts 5 down to 1."""
-    return _shift_identities(_pairwise_products(_window(buffer, n)))
+    return _shift_identities(_pairwise_products(_window(buffer, n), _PAIRS))
 
 
 def cancellation_precondition(buffer: SequenceBuffer, n: int) -> int:
@@ -144,23 +164,49 @@ def cancellation_precondition(buffer: SequenceBuffer, n: int) -> int:
 def build_certificate(
     buffer: SequenceBuffer, n: int, strict: bool = False
 ) -> DivisibilityCertificate:
-    """Evaluate every line of the reduction chain at index n.
+    """Check the facts the certificate at index n rests on.
 
-    Returns the certificate whether or not it is valid, so callers can
-    inspect which step broke; strict=True raises InvalidChainError on an
-    invalid certificate instead (an invalid chain on a generated Somos-5
-    buffer signals an engine bug).
+    The shifts, the precondition and the residue are computed here; the
+    chain is evaluated when it is first read.  Returns the certificate
+    whether or not it is valid, so callers can inspect which fact broke;
+    strict=True raises InvalidChainError on an invalid certificate instead
+    (an invalid certificate on a generated Somos-5 buffer signals an
+    engine bug).
     """
     t = _window(buffer, n)
     m = t[5]
     if m == 0:
         raise ZeroDenominatorError(n - 5, f"chain modulus a_{n - 5} is zero")
 
-    p = _pairwise_products(t)
+    p = _pairwise_products(t, _PAIRS)
     shifts = _shift_identities(p)
-    rhs = {identity.shift: identity.rhs for identity in shifts}
-    numerator = p[1, 4] + p[2, 3]
     precondition_gcd = gcd(m, p[8, 9])
+    numerator_residue = _divmod(p[1, 4] + p[2, 3], m)[1]
+    valid = (
+        precondition_gcd == 1
+        and all(identity.holds for identity in shifts)
+        and numerator_residue == 0
+    )
+    certificate = DivisibilityCertificate(
+        index=n,
+        modulus=m,
+        precondition_gcd=precondition_gcd,
+        shifts=shifts,
+        numerator_residue=numerator_residue,
+        valid=valid,
+        window=t,
+    )
+    if strict and not valid:
+        raise InvalidChainError(f"certificate at n = {n} is invalid")
+    return certificate
+
+
+def _evaluate_chain(t: tuple[int, ...]) -> tuple[ChainStep, ...]:
+    """Evaluate the eight displayed lines of the chain over the window t."""
+    m = t[5]
+    p = _pairwise_products(t, _CHAIN_PAIRS)
+    rhs = {identity.shift: identity.rhs for identity in _shift_identities(p)}
+    numerator = p[1, 4] + p[2, 3]
 
     # The eight displayed lines as (value, dropped multiple or None):
     # multiply by a_{n-8}a_{n-9}, distribute, substitute shifts 4 and 3,
@@ -202,34 +248,17 @@ def build_certificate(
             )
         )
         previous = value
-
-    numerator_residue = _divmod(numerator, m)[1]
-    valid = (
-        precondition_gcd == 1
-        and all(identity.holds for identity in shifts)
-        and all(step.verified for step in chain)
-        and numerator_residue == 0
-    )
-    certificate = DivisibilityCertificate(
-        index=n,
-        modulus=m,
-        precondition_gcd=precondition_gcd,
-        shifts=shifts,
-        chain=tuple(chain),
-        numerator_residue=numerator_residue,
-        valid=valid,
-    )
-    if strict and not valid:
-        raise InvalidChainError(f"certificate at n = {n} is invalid")
-    return certificate
+    return tuple(chain)
 
 
 def verify_integrality(buffer: SequenceBuffer, spec: SequenceSpec, n: int) -> bool:
     """True iff the certificate at n is valid and direct division agrees.
 
-    The two routes must coincide: the chain establishes that a_{n-5}
+    The two routes must coincide: the certificate establishes that a_{n-5}
     divides the bilinear numerator, and integer-mode division of the
-    spec's own recurrence must succeed with the same quotient.
+    spec's own recurrence must succeed with a quotient that times a_{n-5}
+    gives that numerator back.  A valid certificate has checked the
+    division exactly, so one multiplication compares the quotients.
     """
     certificate = build_certificate(buffer, n)
     if not certificate.valid:
@@ -250,7 +279,7 @@ def verify_integrality(buffer: SequenceBuffer, spec: SequenceSpec, n: int) -> bo
     chain_numerator = as_integer(buffer.term(n - 1)) * as_integer(
         buffer.term(n - 4)
     ) + as_integer(buffer.term(n - 2)) * as_integer(buffer.term(n - 3))
-    return quotient == _divmod(chain_numerator, certificate.modulus)[0]
+    return quotient * certificate.modulus == chain_numerator
 
 
 def certify_range(
@@ -292,7 +321,4 @@ def _failure_reason(certificate: DivisibilityCertificate) -> str:
     for identity in certificate.shifts:
         if not identity.holds:
             return f"shift identity at offset {identity.shift} fails"
-    for step in certificate.chain:
-        if not step.verified:
-            return f"chain step {step.step_no} ({step.kind}) fails"
     return f"numerator residue {to_decimal(certificate.numerator_residue)} != 0"

@@ -40,7 +40,11 @@ class IndexOutOfRangeError(SomosError):
 
 
 class InvalidChainError(SomosError):
-    """A reduction-chain step or shift identity failed in strict mode."""
+    """A certificate's facts failed in strict mode.
+
+    Raised when a shift identity fails, the precondition gcd is not 1 or
+    the numerator residue is nonzero; chain steps follow from the shifts.
+    """
 
 
 class NonIntegralTermError(SomosError):

@@ -18,6 +18,7 @@ from somos import (
     cancellation_precondition,
     certify_range,
     check_index_shifts,
+    emit_report_json,
     gcd,
     generate,
     somos5_spec,
@@ -28,6 +29,117 @@ from somos import (
 from somos.certificate import _failure_reason
 
 from helpers import SOMOS_SUMMANDS, certificate_oracle, first_fractional_index, fraction_terms
+
+
+def oracle_layout(certificate):
+    """The certificate's fields as certificate_oracle returns them.
+
+    valid is read first, so it cannot come from the chain, which the
+    read after it evaluates.
+    """
+    valid = certificate.valid
+    chain = tuple(astuple(step) for step in certificate.chain)
+    return (
+        certificate.index,
+        certificate.modulus,
+        certificate.precondition_gcd,
+        tuple(astuple(identity) for identity in certificate.shifts),
+        chain,
+        certificate.numerator_residue,
+        valid,
+    )
+
+
+class Poly:
+    """An integer polynomial over t1..t10: a dict from exponent tuple to coefficient."""
+
+    def __init__(self, terms):
+        self.terms = {exponents: c for exponents, c in terms.items() if c}
+
+    @classmethod
+    def variable(cls, d):
+        return cls({tuple(int(i == d) for i in range(1, 11)): 1})
+
+    @staticmethod
+    def lift(value):
+        return value if isinstance(value, Poly) else Poly({(0,) * 10: value})
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for exponents, c in Poly.lift(other).terms.items():
+            terms[exponents] = terms.get(exponents, 0) + c
+        return Poly(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly({exponents: -c for exponents, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -Poly.lift(other)
+
+    def __mul__(self, other):
+        terms = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in Poly.lift(other).terms.items():
+                exponents = tuple(a + b for a, b in zip(e1, e2))
+                terms[exponents] = terms.get(exponents, 0) + c1 * c2
+        return Poly(terms)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return self.terms == Poly.lift(other).terms
+
+    def has_literal_factor(self, d):
+        """True iff the polynomial is nonzero and t_d divides each of its monomials."""
+        return bool(self.terms) and all(exponents[d - 1] > 0 for exponents in self.terms)
+
+
+def chain_lines(t):
+    """certificate_oracle's eight lines over t[d] = a_{n-d}, as (value, dropped or 0)."""
+    return [
+        (t[8] * t[9] * (t[1] * t[4] + t[2] * t[3]), 0),
+        (t[8] * t[9] * t[1] * t[4] + t[8] * t[9] * t[2] * t[3], 0),
+        (t[8] * t[1] * (t[5] * t[8] + t[6] * t[7]) + t[9] * t[2] * (t[4] * t[7] + t[5] * t[6]), 0),
+        (
+            t[8] * t[1] * t[6] * t[7] + t[9] * t[2] * t[4] * t[7],
+            t[8] * t[1] * t[5] * t[8] + t[9] * t[2] * t[5] * t[6],
+        ),
+        (t[8] * t[7] * (t[2] * t[5] + t[3] * t[4]) + t[9] * t[4] * (t[3] * t[6] + t[4] * t[5]), 0),
+        (
+            t[8] * t[7] * t[3] * t[4] + t[9] * t[4] * t[3] * t[6],
+            t[8] * t[7] * t[2] * t[5] + t[9] * t[4] * t[4] * t[5],
+        ),
+        (t[3] * t[4] * (t[8] * t[7] + t[9] * t[6]), 0),
+        (t[3] * t[4] * t[5] * t[10], 0),
+    ]
+
+
+def shift_gap(t, s):
+    """lhs - rhs of shift identity s: a_{n-s}a_{n-s-5} minus the recurrence's right-hand side."""
+    return t[s] * t[s + 5] - (t[s + 1] * t[s + 4] + t[s + 2] * t[s + 3])
+
+
+def chain_step_identities(t):
+    """For steps 1..7: (line_{i-1} - line_i - dropped_i, sum over s of c_s * shift_gap_s)."""
+    cofactors = [
+        {},
+        {4: t[1] * t[8], 3: t[2] * t[9]},
+        {},
+        {1: t[7] * t[8], 2: t[4] * t[9]},
+        {},
+        {},
+        {5: -(t[3] * t[4])},
+    ]
+    lines = chain_lines(t)
+    return [
+        (
+            lines[step - 1][0] - lines[step][0] - lines[step][1],
+            sum((c * shift_gap(t, s) for s, c in cofactors[step - 1].items()), 0),
+        )
+        for step in range(1, 8)
+    ]
 
 
 class TestIndexShifts:
@@ -152,7 +264,7 @@ class TestCertificateOracle:
         values = list(somos5_values[:450])
         buffer = SequenceBuffer(values)
         for n in range(CERTIFICATE_START, 450):
-            assert astuple(build_certificate(buffer, n)) == certificate_oracle(values, n)
+            assert oracle_layout(build_certificate(buffer, n)) == certificate_oracle(values, n)
 
     def test_one_corrupted_term(self, somos5_values):
         rng = random.Random(2105)
@@ -163,7 +275,7 @@ class TestCertificateOracle:
             buffer = SequenceBuffer(values)
             for n in range(CERTIFICATE_START, len(values)):
                 certificate = build_certificate(buffer, n)
-                assert astuple(certificate) == certificate_oracle(values, n)
+                assert oracle_layout(certificate) == certificate_oracle(values, n)
                 invalid += not certificate.valid
         assert invalid > 0
 
@@ -178,7 +290,7 @@ class TestCertificateOracle:
         residues = 0
         for n in range(436, 446):
             certificate = build_certificate(buffer, n)
-            assert astuple(certificate) == certificate_oracle(values, n)
+            assert oracle_layout(certificate) == certificate_oracle(values, n)
             residues += certificate.numerator_residue != 0
         assert residues >= 4
         report = certify_range(buffer, 430, 450)
@@ -198,11 +310,83 @@ class TestCertificateOracle:
             buffer = SequenceBuffer(values)
             for n in (10, 11, 12):
                 certificate = build_certificate(buffer, n)
-                assert astuple(certificate) == certificate_oracle(values, n)
+                assert oracle_layout(certificate) == certificate_oracle(values, n)
                 congruence_of_failing_steps.update(
                     step.congruent_to_prev for step in certificate.chain if not step.verified
                 )
         assert congruence_of_failing_steps == {False, True}
+
+
+class TestChainFollowsFromTheShifts:
+    """No chain step can fail while all five shift identities hold.
+
+    Each step's difference, less what it drops, expands to the stated
+    combination of the shift gaps, so it is zero whenever they are; the
+    dropped multiples and the last line carry a_{n-5} = t5 literally.
+    """
+
+    def test_each_step_is_a_combination_of_the_shift_gaps(self):
+        t = {d: Poly.variable(d) for d in range(1, 11)}
+        for difference, combination in chain_step_identities(t):
+            assert difference == combination
+
+    def test_dropped_multiples_and_last_line_carry_t5(self):
+        lines = chain_lines({d: Poly.variable(d) for d in range(1, 11)})
+        assert [step for step, (_, dropped) in enumerate(lines) if dropped != 0] == [3, 5]
+        for polynomial in (lines[3][1], lines[5][1], lines[7][0]):
+            assert polynomial.has_literal_factor(5)
+
+    def test_lines_are_the_oracles(self, somos5_values):
+        rng = random.Random(1991)
+        buffers = [list(somos5_values[:40])] + [
+            [rng.choice((-1, 1)) * rng.randrange(1, 60) for _ in range(12)] for _ in range(50)
+        ]
+        for values in buffers:
+            for n in range(CERTIFICATE_START, len(values)):
+                t = {d: values[n - d] for d in range(1, 11)}
+                chain = certificate_oracle(values, n)[4]
+                lines = [(value, dropped or 0) for _, _, value, _, _, dropped in chain]
+                assert chain_lines(t) == lines
+                for difference, combination in chain_step_identities(t):
+                    assert difference == combination
+
+    def test_sympy_expands_the_same(self):
+        sympy = pytest.importorskip("sympy")
+        symbols = sympy.symbols("t1:11")
+        t = {d: symbols[d - 1] for d in range(1, 11)}
+        for difference, combination in chain_step_identities(t):
+            assert sympy.expand(difference - combination) == 0
+        ours = chain_lines({d: Poly.variable(d) for d in range(1, 11)})
+        for line, expanded in zip(chain_lines(t), ours):
+            for expression, polynomial in zip(line, expanded):
+                terms = sympy.Poly(expression, *symbols).as_dict()
+                assert {e: int(c) for e, c in terms.items()} == Poly.lift(polynomial).terms
+
+
+class TestChainOnDemand:
+    def test_range_never_evaluates_the_chain(self, somos5_buffer, monkeypatch):
+        def refuse(window):
+            raise AssertionError("chain evaluated")
+
+        monkeypatch.setattr("somos.certificate._evaluate_chain", refuse)
+        report = certify_range(somos5_buffer(450))
+        assert (report.passed, report.checked) == (True, 440)
+
+    def test_json_evaluates_the_chain_once(self, somos5_buffer, monkeypatch):
+        import somos.certificate
+
+        windows = []
+        evaluate = somos.certificate._evaluate_chain
+
+        def count(window):
+            windows.append(window)
+            return evaluate(window)
+
+        monkeypatch.setattr(somos.certificate, "_evaluate_chain", count)
+        certificate = build_certificate(somos5_buffer(450), 420)
+        assert windows == []
+        assert emit_report_json(certificate) == emit_report_json(certificate)
+        assert len(windows) == 1
 
 
 class TestVerifyIntegrality:
