@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterator, Union
 
 from .errors import (
@@ -194,8 +195,8 @@ def next_term(buffer: SequenceBuffer, spec: SequenceSpec, mode: str = INTEGER):
 
     Both modes share one integer step while a_{n-1} .. a_{n-k} are all
     integral (int, or Fraction with denominator 1): one divmod of the
-    integer numerator decides exactness.  Only a window holding a
-    non-integral fraction falls back to Fraction arithmetic.
+    integer numerator decides exactness.  A rational window holding a
+    non-integral fraction goes to _fractional_step.
     """
     if mode not in (INTEGER, RATIONAL):
         raise ValueError(f"unknown mode {mode!r}")
@@ -215,10 +216,10 @@ def next_term(buffer: SequenceBuffer, spec: SequenceSpec, mode: str = INTEGER):
     denominator = window[-1]
     if denominator == 0:
         raise ZeroDenominatorError(n)
-    numerator = sum(window[i - 1] * window[j - 1] for i, j in spec.summands)
     if fractional:
-        value = numerator / denominator
+        value = _fractional_step(window, spec.summands)
     else:
+        numerator = sum(window[i - 1] * window[j - 1] for i, j in spec.summands)
         quotient, remainder = _divmod(numerator, abs(denominator))
         if not remainder:
             value = quotient if denominator > 0 else -quotient
@@ -230,6 +231,40 @@ def next_term(buffer: SequenceBuffer, spec: SequenceSpec, mode: str = INTEGER):
             return NonIntegralEvent(n, numerator, denominator, remainder)
     buffer.append(value)
     return value
+
+
+def _fractional_step(window, summands) -> Fraction:
+    """The quotient (sum of window[i-1] * window[j-1]) / window[-1] in
+    lowest terms, for a window of ints and Fractions with window[-1] != 0.
+
+    Each summand stays an unreduced pair (p_i p_j, q_i q_j).  The pairs
+    are put over the least common multiple L of their denominators,
+    starting from the largest, so every denominator is divided into L
+    once; a remainder r from denominator d extends L by d // gcd(d, r).
+    Only Fraction(total, L) then runs a gcd as large as the terms, where
+    Fraction arithmetic would run one per product and per sum.  The
+    division by window[-1] is Fraction's, whose gcds pair each side with
+    a k-back term several times smaller.
+    """
+    pairs = [
+        (window[i - 1].numerator * window[j - 1].numerator,
+         window[i - 1].denominator * window[j - 1].denominator)
+        for i, j in summands
+    ]
+    pairs.sort(key=lambda pair: pair[1])
+    total, common = pairs.pop()
+    for numerator, denominator in pairs:
+        quotient, remainder = _divmod(common, denominator)
+        if remainder:
+            # With g = gcd(d, r) = gcd(d, L): lcm(L, d) = L * (d // g), and
+            # lcm(L, d) // d = L // g = quotient * (d // g) + r // g.
+            g = gcd(denominator, remainder)
+            factor = _divmod(denominator, g)[0]
+            quotient = quotient * factor + _divmod(remainder, g)[0]
+            common *= factor
+            total *= factor
+        total += numerator * quotient
+    return Fraction(total, common) / window[-1]
 
 
 def _divmod(a: int, b: int) -> tuple[int, int]:

@@ -9,7 +9,6 @@ identical inputs.  The schema carries a version field, currently "1".
 
 from __future__ import annotations
 
-import decimal
 import json
 import re
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from fractions import Fraction
 
 from .certificate import DivisibilityCertificate
 from .coprime import CoprimeWindowReport, LemmaHarnessReport, VerificationReport
-from .engine import FULL, NonIntegralEvent, SequenceBuffer, SequenceSpec, as_integer
+from .engine import FULL, NonIntegralEvent, SequenceBuffer, SequenceSpec, _divmod, as_integer
 from .errors import GapError, ParseError
 from .scanner import BreakdownReport, NoncoprimeWitness
 
@@ -26,12 +25,10 @@ SCHEMA_VERSION = "1"
 _INT_FIELD = re.compile(r"[+-]?[0-9]+")
 
 
-# Leaf sizes of the divide-and-conquer conversions.  Decimal(int) takes
-# the binary digits directly, and int() on at most 600 digits stays under
-# 640, the smallest nonzero int<->str digit limit the interpreter accepts,
-# so no leaf can trip that limit.
-_TO_DECIMAL_LEAF_BITS = 128
-_FROM_DECIMAL_LEAF_DIGITS = 600
+# Leaf size, in decimal digits, of the divide-and-conquer conversions.  It
+# is below 640, the smallest nonzero int<->str digit limit the interpreter
+# accepts, so no str() or int() on a leaf can trip that limit.
+_LEAF_DIGITS = 600
 
 
 def to_decimal(value: int) -> str:
@@ -44,7 +41,8 @@ def to_decimal(value: int) -> str:
     try:
         return str(value)
     except ValueError:  # past the digit limit
-        return str(_int_to_decimal(value))
+        digits = _int_to_digits(abs(value))
+        return "-" + digits if value < 0 else digits
 
 
 def from_decimal(text: str) -> int:
@@ -64,45 +62,47 @@ def from_decimal(text: str) -> int:
         return -value if literal[0] == "-" else value
 
 
-def _int_to_decimal(value: int) -> decimal.Decimal:
-    """Exact Decimal equal to value, built by splitting at powers of two.
-
-    Divide and conquer in the manner of CPython 3.12's Lib/_pylong.py:
-    value = hi * 2**w2 + lo, with the Decimal powers of two memoized for
-    the call.  The local context has maximal precision and traps Inexact,
-    so every operation is exact.
-    """
-    two = decimal.Decimal(2)
+def _powers_of_five():
+    """The function w -> 5**w, memoized for the life of the function."""
     powers = {}
 
-    def power_of_two(w):
+    def power_of_five(w):
         result = powers.get(w)
         if result is None:
-            if w <= _TO_DECIMAL_LEAF_BITS:
-                result = two**w
+            if w <= _LEAF_DIGITS:
+                result = 5**w
             elif w - 1 in powers:
-                result = powers[w - 1] + powers[w - 1]
+                result = powers[w - 1] * 5
             else:
                 # Smaller half first, so that the larger is often w-1 of it.
-                result = power_of_two(w >> 1) * power_of_two(w - (w >> 1))
+                result = power_of_five(w >> 1) * power_of_five(w - (w >> 1))
             powers[w] = result
         return result
 
-    def convert(n, w):
-        if w <= _TO_DECIMAL_LEAF_BITS:
-            return decimal.Decimal(n)
-        w2 = w >> 1
-        hi = n >> w2
-        lo = n - (hi << w2)
-        return convert(lo, w2) + convert(hi, w - w2) * power_of_two(w2)
+    return power_of_five
 
-    with decimal.localcontext() as context:
-        context.prec = decimal.MAX_PREC
-        context.Emax = decimal.MAX_EMAX
-        context.Emin = decimal.MIN_EMIN
-        context.traps[decimal.Inexact] = True
-        result = convert(abs(value), value.bit_length())
-        return -result if value < 0 else result
+
+def _int_to_digits(value: int) -> str:
+    """Decimal digits of an integer value >= 0, by divide and conquer.
+
+    value = hi * 10**d + lo, where d is half the width in digits.  Since
+    10**d = 5**d * 2**d, hi and lo come from one engine._divmod of
+    value >> d by 5**d, with the powers of five memoized for the call.
+    Leaves of at most _LEAF_DIGITS digits go through str() and are padded
+    to their width with zfill.
+    """
+    power_of_five = _powers_of_five()
+
+    def convert(n, w):  # n < 10**w; exactly w digits
+        if w <= _LEAF_DIGITS:
+            return str(n).zfill(w)
+        d = w >> 1
+        hi, rest = _divmod(n >> d, power_of_five(d))
+        return convert(hi, w - d) + convert(rest << d | n & ((1 << d) - 1), d)
+
+    # 30103/100000 > log10(2), so value < 2**bits <= 10**width.
+    width = value.bit_length() * 30103 // 100000 + 1
+    return convert(value, width).lstrip("0")
 
 
 def _digits_to_int(digits: str) -> int:
@@ -111,24 +111,12 @@ def _digits_to_int(digits: str) -> int:
     After CPython 3.12's Lib/_pylong.py: value = hi * 10**d + lo, where d
     is the length of the low half and hi * 10**d is formed as
     (hi * 5**d) << d, with the powers of five memoized for the call.
-    Leaves of at most _FROM_DECIMAL_LEAF_DIGITS go through int().
+    Leaves of at most _LEAF_DIGITS go through int().
     """
-    powers = {}
-
-    def power_of_five(w):
-        result = powers.get(w)
-        if result is None:
-            if w <= _FROM_DECIMAL_LEAF_DIGITS:
-                result = 5**w
-            elif w - 1 in powers:
-                result = powers[w - 1] * 5
-            else:
-                result = power_of_five(w >> 1) * power_of_five(w - (w >> 1))
-            powers[w] = result
-        return result
+    power_of_five = _powers_of_five()
 
     def convert(a, b):
-        if b - a <= _FROM_DECIMAL_LEAF_DIGITS:
+        if b - a <= _LEAF_DIGITS:
             return int(digits[a:b])
         mid = (a + b + 1) >> 1
         return convert(mid, b) + ((convert(a, mid) * power_of_five(b - mid)) << (b - mid))

@@ -37,6 +37,7 @@ SOMOS_SUMMANDS = {
     6: ((1, 5), (2, 4), (3, 3)),
     7: ((1, 6), (2, 5), (3, 4)),
     8: ((1, 7), (2, 6), (3, 5), (4, 4)),
+    9: ((1, 8), (2, 7), (3, 6), (4, 5)),
 }
 
 
@@ -46,7 +47,8 @@ def certificate_oracle(values, n):
     values is a plain list of ints with values[i] = a_i.  Every line is
     spelled out as a product of single terms and every congruence is
     reduced mod a_{n-5}.  Returns the fields of a DivisibilityCertificate
-    in declaration order, nested as dataclasses.astuple lays them out.
+    in declaration order, nested as tests/test_certificate.py::oracle_layout
+    lays them out.
     """
     t = {d: values[n - d] for d in range(1, 11)}
     m = t[5]

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from somos import (
@@ -28,10 +31,13 @@ from somos import (
     somos5_spec,
     somos_k_spec,
 )
-from somos.engine import _DIV_LIMIT, _divmod
+from somos.cli import main
+from somos.engine import _DIV_LIMIT, _divmod, _fractional_step
 from somos.errors import int_text
 
 from helpers import SOMOS_SUMMANDS, first_fractional_index, fraction_terms
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 # OEIS A006721 prefix
 FIRST_TWELVE = [1, 1, 1, 1, 1, 2, 3, 5, 11, 37, 83, 274]
@@ -293,7 +299,7 @@ def _assert_fractions_in_lowest_terms(values):
 
 
 class TestRationalAgainstOracle:
-    @pytest.mark.parametrize("k,count", [(4, 60), (5, 60), (6, 50), (7, 50), (8, 30)])
+    @pytest.mark.parametrize("k,count", [(4, 60), (5, 60), (6, 50), (7, 50), (8, 30), (8, 46)])
     def test_all_ones_start(self, k, count):
         # Somos-8 runs past its first fractional index 17, so its later
         # windows hold non-integral fractions.
@@ -333,6 +339,58 @@ class TestRationalAgainstOracle:
         buffer = generate(spec, 14, RATIONAL)
         assert buffer.values() == oracle
         _assert_fractions_in_lowest_terms(buffer.values()[k:])
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        k=st.integers(min_value=6, max_value=9),
+        count=st.integers(min_value=18, max_value=20),
+        initials=st.lists(st.integers(min_value=-5, max_value=5), min_size=9, max_size=9),
+    )
+    def test_signed_initials_past_the_first_fraction(self, k, count, initials):
+        # Windows past the first fractional term hold negative, zero and
+        # fractional terms; a zero reaching a_{n-k} must raise.
+        initials = initials[:k]
+        spec = SequenceSpec(order=k, summands=SOMOS_SUMMANDS[k], initials=initials)
+        try:
+            oracle = fraction_terms(k, SOMOS_SUMMANDS[k], count, initials)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDenominatorError):
+                generate(spec, count, RATIONAL)
+            return
+        buffer = generate(spec, count, RATIONAL)
+        assert buffer.values() == oracle
+        _assert_fractions_in_lowest_terms(buffer.values()[k:])
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        k=st.integers(min_value=4, max_value=9),
+        terms=st.lists(
+            st.one_of(
+                st.integers(min_value=-40, max_value=40),
+                st.fractions(min_value=-40, max_value=40, max_denominator=90),
+            ),
+            min_size=9,
+            max_size=9,
+        ),
+    )
+    # Somos-8 summand denominators 2, 3, 5 and 49 have lcm 1470, none of them.
+    @example(
+        k=8,
+        terms=[Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5), Fraction(4, 7), 1, 1, -1, 3],
+    )
+    def test_step_on_signed_fraction_windows(self, k, terms):
+        window = terms[:k]
+        assume(window[-1] != 0)
+        summands = SOMOS_SUMMANDS[k]
+        expected = sum(Fraction(window[i - 1]) * window[j - 1] for i, j in summands) / window[-1]
+        value = _fractional_step(window, summands)
+        assert value == expected
+        _assert_fractions_in_lowest_terms([value])
+
+    def test_somos8_rational_output_matches_the_reference_digest(self, capsys):
+        digest = json.loads(REFERENCE.read_text(encoding="utf-8"))["somos8_rational_54"]
+        assert main(["generate", "--k", "8", "--count", "54", "--mode", "rational"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestBufferRetention:
