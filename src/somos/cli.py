@@ -270,32 +270,25 @@ def cmd_crosscheck(args) -> int:
         _print_event(exc.event)
         return EXIT_CHECK_FAILED
 
-    lo = max(file_start, buffer.start_index)
+    # The entries are consecutive, so the overlap with the buffer is a slice;
+    # a start past the stop is clamped to it, as verify and certify do.
     hi = min(file_stop, buffer.next_index)
-    checked = 0
-    for index, value in bfile.entries:
-        if index < lo or index >= hi:
-            continue
-        checked += 1
-        if buffer.term(index) != value:
-            report = VerificationReport(
-                check="crosscheck",
-                start=lo,
-                stop=hi,
-                checked=checked,
-                passed=False,
-                first_failure_index=index,
-                first_failure_reason=(
-                    f"generated {to_decimal(buffer.term(index))} != fixture {to_decimal(value)}"
-                ),
-            )
-            _print_report(report, args.format)
-            return EXIT_CHECK_FAILED
+    lo = min(max(file_start, buffer.start_index), hi)
+    overlap = bfile.entries[lo - file_start : hi - file_start]
+    index, value = next(((i, v) for i, v in overlap if buffer.term(i) != v), (None, None))
     report = VerificationReport(
-        check="crosscheck", start=lo, stop=hi, checked=checked, passed=True
+        check="crosscheck",
+        start=lo,
+        stop=hi,
+        checked=hi - lo if index is None else index - lo + 1,
+        passed=index is None,
+        first_failure_index=index,
+        first_failure_reason=None if index is None else (
+            f"generated {to_decimal(buffer.term(index))} != fixture {to_decimal(value)}"
+        ),
     )
     _print_report(report, args.format)
-    return EXIT_OK
+    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .engine import SequenceBuffer, SequenceSpec, as_integer
+from .engine import SequenceBuffer, SequenceSpec, _identity, as_integer
 from .errors import IndexOutOfRangeError, SomosError
 
 LEMMA_NAMES = ("product", "pairwise", "shift", "cancellation")
@@ -146,7 +146,7 @@ def verify_coprime_window(
 
     Offsets in proven are reported as gcd 1 without computing it.  Pass
     only offsets whose coprimality is already established, as
-    verify_coprime_range does from the recurrence identity.
+    verify_recurrence_and_windows does from the recurrence identity.
     """
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
@@ -186,44 +186,25 @@ def verify_coprime_range(
     depth: int = 4,
     start: int | None = None,
     stop: int | None = None,
-    spec: SequenceSpec | None = None,
 ) -> VerificationReport:
     """Run coprime windows for every n in [start, stop); default full coverage.
 
     A start past stop is clamped to stop, so an empty range reads [stop, stop).
-
-    Without spec, every window computes its depth gcds.  Given the spec
-    the buffer follows, a window at n derives gcd(a_n, a_{n-o}) = 1 for
-    an offset o instead of computing it, by this argument.  Let o < k,
-    let (i, j) be the only summand of the spec that does not contain o,
-    and let the identity a_n a_{n-k} = sum of a_{n-i'} a_{n-j'} over the
-    summands hold at n.  A prime p dividing a_n and a_{n-o} divides the
-    left side and every summand holding a_{n-o}, so it divides
-    a_{n-i} a_{n-j}, hence a_{n-i} or a_{n-j}.  It then divides both
-    terms of the pair (a_{n-o}, a_{n-i}) or (a_{n-o}, a_{n-j}).  The
-    window at n - min(o, i) holds the first pair at offset |o - i|, and
-    likewise for j.  When both offsets are in 1..depth and both windows
-    lie in [start, n), they have passed, since the loop stops at the
-    first failure; so no such p exists.  Zero is divisible by every
-    prime, so the argument covers zero terms too.
-
-    The identity is evaluated here, exactly, on a_{n-k} .. a_n, for n
-    from max(start_index + k, k) on.  Where it is not evaluated, one of
-    those terms is not integral, or the identity fails, every gcd of the
-    window is computed.  A derived offset provably passes, so each
-    failure comes from a computed gcd and the report equals the one
-    computed without spec, field for field.  Which offsets qualify
-    follows from spec.summands.  For Somos-5 at depth 2 or more, every
-    offset up to min(depth, 4) is derived from the fourth window of the
-    range on, and offsets from 5 on are always computed.  Somos-6 and
-    Somos-7 have no qualifying offset, since each offset misses at least
-    two of their summands.
+    Every window computes its depth gcds, and the first failing one ends
+    the range.
     """
     if start is None:
         start = window_start(buffer, depth)
     if stop is None:
         stop = buffer.next_index
-    return _walk(buffer, depth, min(start, stop), stop, spec, report_identity=False)
+    start = min(start, stop)
+    for checked, n in enumerate(range(start, stop), 1):
+        report = verify_coprime_window(buffer, n, depth)
+        if not report.passed:
+            return _window_failure(report, start, stop, checked)
+    return VerificationReport(
+        check="coprime-window", start=start, stop=stop, checked=stop - start, passed=True
+    )
 
 
 def verify_recurrence_and_windows(
@@ -232,49 +213,55 @@ def verify_recurrence_and_windows(
     """Check the recurrence identity and the coprime windows of a whole buffer in one pass.
 
     The identity a_n a_{n-k} = sum of a_{n-i} a_{n-j} is evaluated once,
-    exactly, at every n in [max(start_index + k, k), next_index), and
-    the windows run over the range verify_coprime_range covers by
-    default, deriving offsets from those same evaluations.  The first
-    identity violation is reported as a "recurrence-identity" failure,
-    in preference to any coprime failure, an earlier one included: after
-    a window fails or raises, the pass goes on evaluating the identity
-    alone.  Without a violation the result is exactly that of
-    verify_coprime_range(buffer, depth, spec=spec), and what a window
-    raised is raised.  The identity is checked on integral and rational
-    terms alike, as first_recurrence_violation does.
+    exactly, at every n in [max(start_index + k, k), next_index), on
+    integral and rational terms alike, as first_recurrence_violation
+    does.  The windows run over the range verify_coprime_range covers by
+    default.  The first identity violation is reported as a
+    "recurrence-identity" failure, in preference to any coprime failure,
+    an earlier one included: after a window fails or raises, the pass
+    goes on evaluating the identity alone.  Without a violation the
+    result is exactly that of verify_coprime_range(buffer, depth), and
+    what a window raised is raised.
+
+    A window at n derives gcd(a_n, a_{n-o}) = 1 for an offset o from
+    the identity instead of computing it, by this argument.  Let o < k,
+    let (i, j) be the only summand of the spec that does not contain o,
+    and let the identity hold at n.  A prime p dividing a_n and a_{n-o}
+    divides the left side and every summand holding a_{n-o}, so it
+    divides a_{n-i} a_{n-j}, hence a_{n-i} or a_{n-j}.  It then divides
+    both terms of the pair (a_{n-o}, a_{n-i}) or (a_{n-o}, a_{n-j}).
+    The window at n - min(o, i) holds the first pair at offset |o - i|,
+    and likewise for j.  When both offsets are in 1..depth and both
+    windows lie in the range, they have passed, since no window is run
+    after the first failure; so no such p exists.  Zero is divisible by
+    every prime, so the argument covers zero terms too.
+
+    The argument is about integers, and a window derives only where
+    a_{n-k} .. a_n have all been made integers.  Its own term a_n is,
+    before any gcd.  Each of a_{n-k} .. a_{n-1} lies in
+    [max(start_index, 0), n): it is the own term of an earlier window,
+    or one of the depth terms before the range, which the first window
+    holds and, deriving nothing, converts.  All those windows have
+    passed, and a term that is not integral raises where it is
+    converted.  A derived offset provably passes, so each failure comes
+    from a computed gcd.  Which offsets qualify follows from
+    spec.summands.  For Somos-5 at depth 2 or more, every offset up to
+    min(depth, 4) is derived from the fourth window of the range on, and
+    offsets from 5 on are always computed.  Somos-6 and Somos-7 have no
+    qualifying offset, since each offset misses at least two of their
+    summands.
     """
+    reach = _derivable_offsets(spec, depth)
+    lo = max(buffer.start_index + spec.order, spec.order)
     stop = buffer.next_index
     start = min(window_start(buffer, depth), stop)
-    return _walk(buffer, depth, start, stop, spec, report_identity=True)
-
-
-def _walk(
-    buffer: SequenceBuffer,
-    depth: int,
-    start: int,
-    stop: int,
-    spec: SequenceSpec | None,
-    report_identity: bool,
-) -> VerificationReport:
-    """Windows over [start, stop), each identity evaluated at most once.
-
-    The identity at n is evaluated where report_identity asks for it or
-    a window at n has offsets to derive; see verify_coprime_range and
-    verify_recurrence_and_windows for the two uses.
-    """
-    reach = {} if spec is None else _derivable_offsets(spec, depth)
-    lo = stop if spec is None else max(buffer.start_index + spec.order, spec.order)
-    first = min(start, lo) if report_identity else start
     outcome = None  # the first failing window's report, or what a window raised
     checked = 0
-    for n in range(first, stop):
+    for n in range(min(start, lo), stop):
         windowed = outcome is None and n >= start
-        proven = frozenset(o for o, back in reach.items() if windowed and n - back >= start)
-        if n < lo:
-            proven = frozenset()
-        elif report_identity or proven:
-            holds, integral = _identity(buffer, spec, n)
-            if not holds and report_identity:
+        proven = frozenset()
+        if n >= lo:
+            if not _identity(buffer, spec, n):
                 return VerificationReport(
                     check="recurrence-identity",
                     start=lo,
@@ -284,8 +271,8 @@ def _walk(
                     first_failure_index=n,
                     first_failure_reason="a_n * a_{n-k} != bilinear sum",
                 )
-            if not (holds and integral):
-                proven = frozenset()
+            if windowed:
+                proven = frozenset(o for o, back in reach.items() if n - back >= start)
         if not windowed:
             continue
         try:
@@ -296,8 +283,6 @@ def _walk(
             checked += 1
             if not report.passed:
                 outcome = _window_failure(report, start, stop, checked)
-        if outcome is not None and not report_identity:
-            break
     if isinstance(outcome, Exception):
         raise outcome
     return outcome or VerificationReport(
@@ -326,8 +311,8 @@ def _window_failure(
 
 
 def _derivable_offsets(spec: SequenceSpec, depth: int) -> dict[int, int]:
-    """Offsets o that verify_coprime_range may derive, each mapped to how
-    many indices back its farther hypothesis window sits."""
+    """Offsets o that verify_recurrence_and_windows may derive, each mapped
+    to how many indices back its farther hypothesis window sits."""
     spec.validate()
     reach = {}
     for o in range(1, min(depth, spec.order - 1) + 1):
@@ -336,10 +321,3 @@ def _derivable_offsets(spec: SequenceSpec, depth: int) -> dict[int, int]:
             reach[o] = max(min(o, x) for x in avoiding[0])
     return reach
 
-
-def _identity(buffer: SequenceBuffer, spec: SequenceSpec, n: int) -> tuple[bool, bool]:
-    """Whether a_n a_{n-k} equals the bilinear sum, and whether a_{n-k} ..
-    a_n are all integral; those terms must be in the buffer."""
-    terms = [buffer.term(n - d) for d in range(spec.order + 1)]  # a_n .. a_{n-k}
-    holds = terms[0] * terms[-1] == sum(terms[i] * terms[j] for i, j in spec.summands)
-    return holds, all(t.denominator == 1 for t in terms)

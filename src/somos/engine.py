@@ -31,11 +31,6 @@ Term = Union[int, Fraction]
 INTEGER = "integer"
 RATIONAL = "rational"
 
-FULL = "full"
-# generate() keeps everything up to this many terms; above it, a window of
-# 4k terms is retained (certificates reach back exactly 2k indices).
-FULL_RETENTION_CEILING = 10_000
-
 # Divisions with a divisor or quotient of at most this many bits are left
 # to the builtin divmod; it is also the leaf size of _divmod's recursion.
 # On CPython 3.11.7, Somos-5 steps over [5, 700) took least time from
@@ -113,18 +108,11 @@ class SequenceBuffer:
     """Indexed history of computed terms.
 
     terms[m] is the sequence value at absolute index start_index + m.
-    With an integer retention window w, only the w most recent terms are
-    kept and start_index advances as older ones are discarded.
     """
 
-    def __init__(self, terms, start_index: int = 0, retention="full"):
-        if retention != FULL:
-            retention = int(retention)
-            if retention < 2:
-                raise ValueError(f"retention window must be >= 2, got {retention}")
+    def __init__(self, terms, start_index: int = 0):
         self._terms = list(terms)
         self._start = int(start_index)
-        self.retention = retention
 
     @property
     def start_index(self) -> int:
@@ -151,10 +139,6 @@ class SequenceBuffer:
 
     def append(self, value: Term) -> None:
         self._terms.append(value)
-        if self.retention != FULL and len(self._terms) > self.retention:
-            drop = len(self._terms) - self.retention
-            del self._terms[:drop]
-            self._start += drop
 
     def items(self) -> Iterator[tuple[int, Term]]:
         for offset, value in enumerate(self._terms):
@@ -164,10 +148,7 @@ class SequenceBuffer:
         return list(self._terms)
 
     def __repr__(self) -> str:
-        return (
-            f"SequenceBuffer(start_index={self._start}, len={len(self._terms)}, "
-            f"retention={self.retention!r})"
-        )
+        return f"SequenceBuffer(start_index={self._start}, len={len(self._terms)})"
 
 
 def somos5_spec() -> SequenceSpec:
@@ -175,14 +156,10 @@ def somos5_spec() -> SequenceSpec:
     return SequenceSpec(order=5, summands=((1, 4), (2, 3)), initials=(1,) * 5, name="somos-5")
 
 
-def new_state(spec: SequenceSpec, retention="full") -> SequenceBuffer:
+def new_state(spec: SequenceSpec) -> SequenceBuffer:
     """Fresh buffer holding exactly the k initial terms at indices 0..k-1."""
     spec.validate()
-    if retention != FULL and int(retention) < 2 * spec.order:
-        raise ValueError(
-            f"retention window {retention} is below 2*order = {2 * spec.order}"
-        )
-    return SequenceBuffer(spec.initials, start_index=0, retention=retention)
+    return SequenceBuffer(spec.initials, start_index=0)
 
 
 def next_term(buffer: SequenceBuffer, spec: SequenceSpec, mode: str = INTEGER):
@@ -349,9 +326,7 @@ def _div3n2n(
     return q, r
 
 
-def generate(
-    spec: SequenceSpec, count: int, mode: str = INTEGER, retention=None
-) -> SequenceBuffer:
+def generate(spec: SequenceSpec, count: int, mode: str = INTEGER) -> SequenceBuffer:
     """Generate terms at indices 0..count-1.
 
     In integer mode the first non-exact division aborts the run by
@@ -361,9 +336,7 @@ def generate(
     spec.validate()
     if count < spec.order:
         raise ValueError(f"count must be at least the order {spec.order}, got {count}")
-    if retention is None:
-        retention = FULL if count <= FULL_RETENTION_CEILING else 4 * spec.order
-    buffer = new_state(spec, retention=retention)
+    buffer = new_state(spec)
     while buffer.next_index < count:
         result = next_term(buffer, spec, mode)
         if isinstance(result, NonIntegralEvent):
@@ -409,11 +382,16 @@ def first_recurrence_violation(buffer: SequenceBuffer, spec: SequenceSpec):
     k = spec.order
     lo = max(buffer.start_index + k, k)
     for n in range(lo, buffer.next_index):
-        lhs = buffer.term(n) * buffer.term(n - k)
-        rhs = sum(buffer.term(n - i) * buffer.term(n - j) for i, j in spec.summands)
-        if lhs != rhs:
+        if not _identity(buffer, spec, n):
             return n
     return None
+
+
+def _identity(buffer: SequenceBuffer, spec: SequenceSpec, n: int) -> bool:
+    """Whether a_n a_{n-k} equals the bilinear sum, exactly; a_{n-k} .. a_n
+    must be in the buffer."""
+    terms = [buffer.term(n - d) for d in range(spec.order + 1)]  # a_n .. a_{n-k}
+    return terms[0] * terms[-1] == sum(terms[i] * terms[j] for i, j in spec.summands)
 
 
 def is_positive_nondecreasing(buffer: SequenceBuffer) -> bool:

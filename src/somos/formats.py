@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .certificate import DivisibilityCertificate
 from .coprime import CoprimeWindowReport, LemmaHarnessReport, VerificationReport
-from .engine import FULL, NonIntegralEvent, SequenceBuffer, SequenceSpec, _divmod, as_integer
+from .engine import NonIntegralEvent, SequenceBuffer, SequenceSpec, _divmod, as_integer
 from .errors import GapError, ParseError
 from .scanner import BreakdownReport, NoncoprimeWitness
 
@@ -166,17 +166,12 @@ def parse_bfile(text: str) -> BFile:
 
 def emit_bfile(source: SequenceBuffer | BFile) -> str:
     """Render '<index> <value>\\n' lines; exact round trip with parse_bfile."""
-    if isinstance(source, BFile):
-        items = source.entries
-    else:
-        if source.retention != FULL:
-            raise ValueError("b-file export requires a full-retention buffer")
-        items = source.items()
+    items = source.entries if isinstance(source, BFile) else source.items()
     return "".join(f"{index} {to_decimal(as_integer(value))}\n" for index, value in items)
 
 
 def buffer_from_bfile(bfile: BFile) -> SequenceBuffer:
-    """Load b-file entries into a full-retention buffer at their own indices."""
+    """Load b-file entries into a buffer at their own indices."""
     start = bfile.entries[0][0] if bfile.entries else 0
     return SequenceBuffer([value for _, value in bfile.entries], start_index=start)
 

@@ -25,7 +25,7 @@ def somos5_values():
 
 @pytest.fixture
 def somos5_buffer(somos5_values):
-    """Factory for fresh full-retention buffers over a Somos-5 prefix."""
+    """Factory for fresh buffers over a Somos-5 prefix, starting at index 0."""
 
     def make(count: int = SESSION_TERMS) -> SequenceBuffer:
         return SequenceBuffer(list(somos5_values[:count]))
@@ -44,7 +44,7 @@ def digit_limit():
     sys.set_int_max_str_digits(limit)
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def two_stage_verify():
     """What `somos verify` reports, composed from two passes over the buffer.
 

@@ -332,6 +332,63 @@ class TestCrosscheck:
         empty.write_text("# nothing\n", encoding="utf-8")
         assert main(["crosscheck", "--input", str(empty)]) == 0
 
+    @staticmethod
+    def _write_input(tmp_path, name):
+        # "altered" adds 1 to the fixture's a_25; "tail" starts it at n = 50;
+        # "negative" re-indexes its first six terms from -2.
+        lines = FIXTURE.read_text(encoding="utf-8").splitlines()
+        index, value = lines[25].split()
+        files = {
+            "fixture": lines,
+            "altered": lines[:25] + [f"{index} {int(value) + 1}"] + lines[26:],
+            "tail": lines[50:],
+            "negative": [f"{m - 2} {line.split()[1]}" for m, line in enumerate(lines[:6])],
+        }
+        path = tmp_path / f"{name}.txt"
+        path.write_text("\n".join(files[name]) + "\n", encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv, code, digest",
+        [
+            (
+                ["fixture", "--count", "200"],
+                0,
+                "c8c06d2d8508ba9f9e2cdea22f7dfe9b7a2a3c89e143dc94282262b10a437fd9",
+            ),
+            (
+                ["fixture", "--count", "200", "--format", "json"],
+                0,
+                "cda59a9da830cf9e87881b699c942431f98e9eaccf4501dd4b60585832d4a52b",
+            ),
+            (["altered"], 1, "fe0704a1a381590907b9b92387108d458d908557b132423c61cc0e49f7bfefef"),
+            (
+                ["altered", "--format", "json"],
+                1,
+                "1f00aef8e755151ca8dd00bc4162e4e434e387e91ee704b7954332b5f85f3d78",
+            ),
+            (["tail"], 0, "c1afe834b817036753f3c8996dd0546eeb966063500b7cd4cce462caa174fd13"),
+            (["negative"], 1, "3bbbfa9def6613b72e8b3e8e1872ed51e926009e9fe33e3018bfa50e207095d1"),
+        ],
+    )
+    def test_output_is_byte_stable(self, tmp_path, capsys, argv, code, digest):
+        # SHA-256 of stdout, frozen from the entry-by-entry comparison loop.
+        path = self._write_input(tmp_path, argv[0])
+        assert main(["crosscheck", "--input", path] + argv[1:]) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_file_past_the_count_is_clamped_to_stop(self, tmp_path, capsys, fmt):
+        path = self._write_input(tmp_path, "tail")
+        assert main(["crosscheck", "--input", path, "--count", "30", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            payload = json.loads(out)
+            assert (payload["start"], payload["stop"], payload["checked"]) == (30, 30, 0)
+            assert payload["passed"] is True
+        else:
+            assert out == "crosscheck over n in [30, 30): 0 checked, pass\n"
+
 
 class TestUsage:
     def test_unknown_command_exits_2(self):

@@ -212,29 +212,28 @@ class TestVerifyRange:
         values[640] *= shared
         buffer = SequenceBuffer(values)
         computed = verify_coprime_range(buffer, start=636)
-        derived = verify_coprime_range(buffer, start=636, spec=somos5_spec())
-        assert derived == computed
         assert (computed.passed, computed.first_failure_index) == (False, 640)
         sys.set_int_max_str_digits(0)
         assert computed.first_failure_reason == f"gcd(a_640, a_639) = {shared}"
 
 
-def _outcome(buffer, depth, **bounds):
-    """The report of verify_coprime_range, or the type and text of what it raised."""
+def _one_pass(buffer, spec, depth):
+    """The report of verify_recurrence_and_windows, or the type and text of what it raised."""
     try:
-        return verify_coprime_range(buffer, depth, **bounds)
+        return verify_recurrence_and_windows(buffer, spec, depth)
     except (ValueError, IndexOutOfRangeError) as exc:
         return type(exc), str(exc)
 
 
-def _assert_routes_agree(buffer, spec, depth, **bounds):
-    derived = _outcome(buffer, depth, spec=spec, **bounds)
-    assert derived == _outcome(buffer, depth, **bounds)
+def _assert_routes_agree(two_stage_verify, buffer, spec, depth):
+    derived = _one_pass(buffer, spec, depth)
+    assert derived == two_stage_verify(buffer, spec, depth)
     return derived
 
 
 class TestDerivedWindows:
-    """Windows derived from the recurrence identity against computed gcds."""
+    """Windows derived from the recurrence identity against the identity pass
+    followed by windows that compute every gcd."""
 
     CORRUPTIONS = {
         "times-neighbour": lambda v, m, rng: v[m] * v[m - 1],
@@ -248,7 +247,7 @@ class TestDerivedWindows:
         monkeypatch.setattr(
             somos.coprime, "gcd", lambda a, b: calls.append(1) or math.gcd(a, b)
         )
-        report = verify_coprime_range(somos5_buffer(200), spec=somos5_spec())
+        report = verify_recurrence_and_windows(somos5_buffer(200), somos5_spec())
         assert report.passed and report.checked == 196
         # window 4 computes 4 gcds, window 5 three, window 6 two, the rest none
         assert len(calls) == 4 + 3 + 2
@@ -260,7 +259,7 @@ class TestDerivedWindows:
             assert somos.coprime._derivable_offsets(somos_k_spec(k), 6) == {}
 
     @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
-    def test_one_corrupted_term(self, somos5_values, kind):
+    def test_one_corrupted_term(self, two_stage_verify, somos5_values, kind):
         rng = random.Random(kind)
         spec = somos5_spec()
         for m in (5, 9, 23, 47, 70):
@@ -268,11 +267,9 @@ class TestDerivedWindows:
             values[m] = self.CORRUPTIONS[kind](values, m, rng)
             buffer = SequenceBuffer(values)
             for depth in range(1, 7):
-                _assert_routes_agree(buffer, spec, depth)
-                _assert_routes_agree(buffer, spec, depth, start=m - 2 + depth, stop=m + 9)
-                _assert_routes_agree(buffer, spec, depth, start=m + 1)
+                _assert_routes_agree(two_stage_verify, buffer, spec, depth)
 
-    def test_buffers_starting_past_zero(self, somos5_values):
+    def test_buffers_starting_past_zero(self, two_stage_verify, somos5_values):
         spec = somos5_spec()
         for offset in (1, 3, 17):
             clean = SequenceBuffer(somos5_values[offset:90], start_index=offset)
@@ -280,23 +277,27 @@ class TestDerivedWindows:
             values[40] *= values[39]
             corrupted = SequenceBuffer(values, start_index=offset)
             for depth in range(1, 7):
-                clean_report = _assert_routes_agree(clean, spec, depth)
-                corrupted_report = _assert_routes_agree(corrupted, spec, depth)
+                clean_report = _assert_routes_agree(two_stage_verify, clean, spec, depth)
+                corrupted_report = _assert_routes_agree(two_stage_verify, corrupted, spec, depth)
                 if depth <= 4:  # the verified claim; deeper windows may share factors
                     assert clean_report.passed and not corrupted_report.passed
 
-    def test_non_integral_term_raises_the_same_error(self, somos5_values):
+    def test_non_integral_term_raises_the_same_error(self, two_stage_verify, somos5_values):
         for k, source in ((4, generate(somos_k_spec(4), 60).values()), (5, somos5_values[:60])):
             for m in (12, 30):
                 values = list(source)
                 values[m] = Fraction(1, 2)
                 buffer = SequenceBuffer(values)
                 for depth in range(1, 7):
-                    for start in (None, m, m + 2, m + 4):
-                        bounds = {} if start is None else {"start": start}
-                        _assert_routes_agree(buffer, somos_k_spec(k), depth, **bounds)
-                raised = _outcome(buffer, 4, spec=somos_k_spec(k))
-                assert raised == (ValueError, "term 1/2 is not an integer")
+                    _assert_routes_agree(two_stage_verify, buffer, somos_k_spec(k), depth)
+                with pytest.raises(ValueError, match="term 1/2 is not an integer"):
+                    verify_coprime_range(buffer, 4)
+        # a_0 = 3 puts powers of 3 in the denominators, and the identity still holds
+        spec = SequenceSpec(order=5, summands=SOMOS_SUMMANDS[5], initials=(3, 1, 1, 1, 1))
+        buffer = generate(spec, 30, RATIONAL)
+        for depth in range(1, 7):
+            raised = _assert_routes_agree(two_stage_verify, buffer, spec, depth)
+            assert raised[0] is ValueError and raised[1].endswith("/3 is not an integer")
 
     @settings(deadline=None, max_examples=80)
     @given(
@@ -305,7 +306,7 @@ class TestDerivedWindows:
         depth=st.integers(min_value=1, max_value=6),
         rational=st.booleans(),
     )
-    def test_signed_initials(self, k, initials, depth, rational):
+    def test_signed_initials(self, two_stage_verify, k, initials, depth, rational):
         spec = SequenceSpec(order=k, summands=SOMOS_SUMMANDS[k], initials=initials[:k])
         try:
             if rational:
@@ -316,15 +317,7 @@ class TestDerivedWindows:
             buffer = exc.buffer
         except ZeroDenominatorError:
             assume(False)
-        _assert_routes_agree(buffer, spec, depth)
-
-
-def _one_pass(buffer, spec, depth):
-    """The report of verify_recurrence_and_windows, or the type and text of what it raised."""
-    try:
-        return verify_recurrence_and_windows(buffer, spec, depth)
-    except (ValueError, IndexOutOfRangeError) as exc:
-        return type(exc), str(exc)
+        _assert_routes_agree(two_stage_verify, buffer, spec, depth)
 
 
 class TestOnePassVerify:

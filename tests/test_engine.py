@@ -394,26 +394,6 @@ class TestRationalAgainstOracle:
 
 
 class TestBufferRetention:
-    def test_windowed_retention_drops_old_terms(self):
-        buffer = generate(somos5_spec(), 60, retention=20)
-        assert len(buffer) == 20
-        assert buffer.start_index == 40
-        assert buffer.next_index == 60
-        with pytest.raises(IndexOutOfRangeError):
-            buffer.term(39)
-
-    def test_windowed_tail_matches_full(self, somos5_values):
-        buffer = generate(somos5_spec(), 80, retention=25)
-        assert buffer.values() == list(somos5_values[55:80])
-
-    def test_window_below_twice_order_rejected(self):
-        with pytest.raises(ValueError):
-            new_state(somos5_spec(), retention=9)
-
-    def test_tiny_window_rejected(self):
-        with pytest.raises(ValueError):
-            SequenceBuffer([1, 1], retention=1)
-
     def test_has_range(self):
         buffer = SequenceBuffer([1, 2, 3], start_index=7)
         assert buffer.has_range(7, 9)

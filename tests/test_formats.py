@@ -101,11 +101,6 @@ class TestEmitBFile:
         text = FIXTURE.read_text(encoding="utf-8")
         assert emit_bfile(parse_bfile(text)) == text
 
-    def test_windowed_buffer_rejected(self):
-        buffer = generate(somos5_spec(), 60, retention=20)
-        with pytest.raises(ValueError):
-            emit_bfile(buffer)
-
     def test_fractional_term_rejected(self):
         buffer = SequenceBuffer([1, Fraction(1, 2)])
         with pytest.raises(ValueError):
