@@ -13,10 +13,8 @@ from .certificate import (
     DivisibilityCertificate,
     IndexShiftIdentity,
     build_certificate,
-    cancellation_precondition,
     certify_range,
     check_index_shifts,
-    verify_integrality,
 )
 from .coprime import (
     CoprimeWindowReport,
@@ -43,7 +41,6 @@ from .engine import (
     digit_count,
     first_recurrence_violation,
     generate,
-    is_positive_nondecreasing,
     new_state,
     next_term,
     somos5_spec,
@@ -51,7 +48,6 @@ from .engine import (
 from .errors import (
     GapError,
     IndexOutOfRangeError,
-    InvalidChainError,
     InvalidSpecError,
     NonIntegralTermError,
     ParseError,
@@ -87,7 +83,6 @@ __all__ = [
     "INTEGER",
     "IndexOutOfRangeError",
     "IndexShiftIdentity",
-    "InvalidChainError",
     "InvalidSpecError",
     "LemmaCheckResult",
     "LemmaHarnessReport",
@@ -104,7 +99,6 @@ __all__ = [
     "as_integer",
     "buffer_from_bfile",
     "build_certificate",
-    "cancellation_precondition",
     "certify_range",
     "check_index_shifts",
     "check_lemma_cancellation",
@@ -118,7 +112,6 @@ __all__ = [
     "first_recurrence_violation",
     "gcd",
     "generate",
-    "is_positive_nondecreasing",
     "new_state",
     "next_term",
     "parse_bfile",
@@ -129,6 +122,5 @@ __all__ = [
     "somos_k_spec",
     "verify_coprime_range",
     "verify_coprime_window",
-    "verify_integrality",
     "verify_recurrence_and_windows",
 ]

@@ -14,22 +14,23 @@ The eight-step reduction chain displays how these facts combine: it
 multiplies the numerator by a_{n-8}a_{n-9}, rewrites it with the shift
 identities, drops explicit multiples of a_{n-5}, and ends at
 a_{n-3}a_{n-4}a_{n-5}a_{n-10}, which carries a_{n-5} as a literal factor.
-Each step's difference, less what it drops, is a fixed polynomial
-combination of the shift identities (tests/test_certificate.py expands
-it symbolically), so no step can fail while all five shifts hold and the
-chain adds nothing to validity.  It is therefore evaluated exactly when
-it is read, from the window of ten terms the certificate keeps, and
-cached: every line is computed and compared exactly from one table of
-pairwise products a_{n-i}a_{n-j}.  Chain lines 2, 4 and 6 reuse the
-identities' right-hand sides rather than summing those products again.
-Exact-rewrite steps must reproduce the previous value bit-for-bit;
-drop-multiple steps must fall short of it by exactly the discarded
-products.  Those products, like the last line, are built as a_{n-5}
-times a cofactor, so they are multiples of the modulus by construction
-and are not reduced again.  congruent_to_prev follows from a verified
-step and is reduced modulo a_{n-5} only on a failing one.  The chain
-shape is specific to order 5; other orders get integrality scanning
-instead (see scanner).
+_chain_lines is its one description.  It builds the lines with +, - and
+* alone, so tests/test_certificate.py passes it a window of polynomial
+variables and expands this very function: each step's difference, less
+what it drops, is a fixed polynomial combination of the shift
+identities.  No step can fail while all five shifts hold, and the chain
+adds nothing to validity.  It is therefore evaluated exactly when it is
+read, from the window of ten terms the certificate keeps, and cached.
+Every line is computed from one table of pairwise products
+a_{n-i}a_{n-j}; lines 2, 4 and 6 reuse the identities' right-hand sides
+rather than summing those products again.  Exact-rewrite steps must
+reproduce the previous value bit-for-bit; drop-multiple steps must fall
+short of it by exactly the discarded products.  Those products, like the
+last line, are built as a_{n-5} times a cofactor, so they are multiples
+of the modulus by construction and are not reduced again.
+congruent_to_prev follows from a verified step and is reduced modulo
+a_{n-5} only on a failing one.  The chain shape is specific to order 5;
+other orders get integrality scanning instead (see scanner).
 
 Certificates start at n = 10 because the shifts reference a_{n-10}; the
 ten earlier terms are integral by inspection.
@@ -41,8 +42,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .coprime import VerificationReport, gcd
-from .engine import SequenceBuffer, SequenceSpec, _divmod, as_integer
-from .errors import IndexOutOfRangeError, InvalidChainError, ZeroDenominatorError
+from .engine import SequenceBuffer, _divmod, as_integer
+from .errors import IndexOutOfRangeError, ZeroDenominatorError
 
 EXACT_REWRITE = "exact-rewrite"
 DROP_MULTIPLE = "drop-multiple"
@@ -145,33 +146,19 @@ def _shift_identities(p: dict[tuple[int, int], int]) -> tuple[IndexShiftIdentity
 
 
 def check_index_shifts(buffer: SequenceBuffer, n: int) -> tuple[IndexShiftIdentity, ...]:
-    """Evaluate the five shifted recurrence identities exactly, shifts 5 down to 1."""
+    """Evaluate the five shifted recurrence identities exactly, shifts 5 down to 1.
+
+    No command calls it; perfbench/trace_cli.py traces it by name.
+    """
     return _shift_identities(_pairwise_products(_window(buffer, n), _PAIRS))
 
 
-def cancellation_precondition(buffer: SequenceBuffer, n: int) -> int:
-    """gcd(a_{n-5}, a_{n-8} * a_{n-9}); must be 1 for the multiplier to cancel."""
-    if not buffer.has_range(n - 9, n - 5):
-        raise IndexOutOfRangeError(
-            f"precondition at n = {n} needs indices {n - 9}..{n - 5}"
-        )
-    return gcd(
-        as_integer(buffer.term(n - 5)),
-        as_integer(buffer.term(n - 8)) * as_integer(buffer.term(n - 9)),
-    )
-
-
-def build_certificate(
-    buffer: SequenceBuffer, n: int, strict: bool = False
-) -> DivisibilityCertificate:
+def build_certificate(buffer: SequenceBuffer, n: int) -> DivisibilityCertificate:
     """Check the facts the certificate at index n rests on.
 
     The shifts, the precondition and the residue are computed here; the
     chain is evaluated when it is first read.  Returns the certificate
-    whether or not it is valid, so callers can inspect which fact broke;
-    strict=True raises InvalidChainError on an invalid certificate instead
-    (an invalid certificate on a generated Somos-5 buffer signals an
-    engine bug).
+    whether or not it is valid, so callers can inspect which fact broke.
     """
     t = _window(buffer, n)
     m = t[5]
@@ -187,7 +174,7 @@ def build_certificate(
         and all(identity.holds for identity in shifts)
         and numerator_residue == 0
     )
-    certificate = DivisibilityCertificate(
+    return DivisibilityCertificate(
         index=n,
         modulus=m,
         precondition_gcd=precondition_gcd,
@@ -196,26 +183,23 @@ def build_certificate(
         valid=valid,
         window=t,
     )
-    if strict and not valid:
-        raise InvalidChainError(f"certificate at n = {n} is invalid")
-    return certificate
 
 
-def _evaluate_chain(t: tuple[int, ...]) -> tuple[ChainStep, ...]:
-    """Evaluate the eight displayed lines of the chain over the window t."""
+def _chain_lines(t) -> list:
+    """The eight displayed lines of the chain over the window t, as (value, dropped or None).
+
+    Multiply by a_{n-8}a_{n-9}, distribute, substitute shifts 4 and 3,
+    drop multiples of m, substitute shifts 1 and 2, drop again, factor,
+    and substitute shift 5 to finish at a_{n-3}a_{n-4}a_{n-5}a_{n-10}.
+    Dropped multiples are m times a cofactor, and the last line carries m
+    through p[5, 10] = m * t[10].  Only +, - and * are used, so the window
+    may hold integers or polynomial variables alike.
+    """
     m = t[5]
     p = _pairwise_products(t, _CHAIN_PAIRS)
     rhs = {identity.shift: identity.rhs for identity in _shift_identities(p)}
-    numerator = p[1, 4] + p[2, 3]
-
-    # The eight displayed lines as (value, dropped multiple or None):
-    # multiply by a_{n-8}a_{n-9}, distribute, substitute shifts 4 and 3,
-    # drop multiples of m, substitute shifts 1 and 2, drop again, factor,
-    # and substitute shift 5 to finish at a_{n-3}a_{n-4}a_{n-5}a_{n-10}.
-    # Dropped multiples are m times a cofactor, and the last line carries
-    # m through p[5, 10] = m * t[10].
-    lines = [
-        (p[8, 9] * numerator, None),
+    return [
+        (p[8, 9] * (p[1, 4] + p[2, 3]), None),
         (p[8, 9] * p[1, 4] + p[8, 9] * p[2, 3], None),
         (p[1, 8] * rhs[4] + p[2, 9] * rhs[3], None),
         (p[1, 8] * p[6, 7] + p[2, 9] * p[4, 7], m * (p[1, 8] * t[8] + p[2, 9] * t[6])),
@@ -225,9 +209,13 @@ def _evaluate_chain(t: tuple[int, ...]) -> tuple[ChainStep, ...]:
         (p[3, 4] * p[5, 10], None),
     ]
 
+
+def _evaluate_chain(t: tuple[int, ...]) -> tuple[ChainStep, ...]:
+    """Compare each line of the chain over the window t with the line before it."""
+    m = t[5]
     chain = []
     previous = None
-    for step_no, (value, dropped) in enumerate(lines):
+    for step_no, (value, dropped) in enumerate(_chain_lines(t)):
         if previous is None:
             verified = True
         elif dropped is None:
@@ -249,37 +237,6 @@ def _evaluate_chain(t: tuple[int, ...]) -> tuple[ChainStep, ...]:
         )
         previous = value
     return tuple(chain)
-
-
-def verify_integrality(buffer: SequenceBuffer, spec: SequenceSpec, n: int) -> bool:
-    """True iff the certificate at n is valid and direct division agrees.
-
-    The two routes must coincide: the certificate establishes that a_{n-5}
-    divides the bilinear numerator, and integer-mode division of the
-    spec's own recurrence must succeed with a quotient that times a_{n-5}
-    gives that numerator back.  A valid certificate has checked the
-    division exactly, so one multiplication compares the quotients.
-    """
-    certificate = build_certificate(buffer, n)
-    if not certificate.valid:
-        return False
-    k = spec.order
-    if not buffer.has_range(n - k, n - 1):
-        raise IndexOutOfRangeError(f"verify at n = {n} needs indices {n - k}..{n - 1}")
-    denominator = as_integer(buffer.term(n - k))
-    numerator = sum(
-        as_integer(buffer.term(n - i)) * as_integer(buffer.term(n - j))
-        for i, j in spec.summands
-    )
-    if denominator == 0:
-        return False
-    quotient, remainder = _divmod(numerator, denominator)
-    if remainder:
-        return False
-    chain_numerator = as_integer(buffer.term(n - 1)) * as_integer(
-        buffer.term(n - 4)
-    ) + as_integer(buffer.term(n - 2)) * as_integer(buffer.term(n - 3))
-    return quotient * certificate.modulus == chain_numerator
 
 
 def certify_range(

@@ -25,13 +25,12 @@ from .coprime import (
 from .engine import (
     INTEGER,
     RATIONAL,
+    SequenceBuffer,
     generate,
     somos5_spec,
 )
 from .errors import NonIntegralTermError, SomosError
 from .formats import (
-    BFile,
-    buffer_from_bfile,
     emit_bfile,
     emit_report_json,
     emit_terms_json,
@@ -64,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check coprimality windows and the recurrence identity")
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--count", type=int, default=1000, help="terms to cover (default 1000)")
+    p.add_argument("--count", type=int, default=1000, help="cover n < count (default 1000)")
     p.add_argument("--depth", type=int, default=4, help="predecessor window depth (default 4)")
     p.add_argument("--input", help="verify terms from a b-file instead of generating")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -94,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crosscheck", help="compare generated terms against a b-file")
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--count", type=int, help="terms to generate (default: cover the file)")
+    p.add_argument("--count", type=int, help="compare n < count (default: cover the file)")
     p.add_argument("--input", required=True, help="b-file to compare against")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_crosscheck)
@@ -151,6 +150,12 @@ def _print_report(report: VerificationReport, fmt: str) -> None:
     print(line)
 
 
+def _check_count(count: int) -> None:
+    """--count on a b-file input bounds the file's indices covered: n < count."""
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+
+
 def cmd_generate(args) -> int:
     spec = somos_k_spec(args.k)
     try:
@@ -172,10 +177,11 @@ def cmd_verify(args) -> int:
     _scope_note(spec)
     if args.input:
         with open(args.input, "r", encoding="utf-8") as handle:
-            bfile = parse_bfile(handle.read())
-        if args.count is not None and args.count < len(bfile.entries):
-            bfile = BFile(bfile.entries[: args.count])
-        buffer = buffer_from_bfile(bfile)
+            entries = parse_bfile(handle.read()).entries
+        # A file that starts past the bound leaves the empty range [count, count).
+        _check_count(args.count)
+        start = min(entries[0][0] if entries else 0, args.count)
+        buffer = SequenceBuffer([v for i, v in entries if i < args.count], start_index=start)
     else:
         try:
             buffer = generate(spec, args.count, mode=INTEGER)
@@ -257,6 +263,8 @@ def cmd_scan(args) -> int:
 def cmd_crosscheck(args) -> int:
     with open(args.input, "r", encoding="utf-8") as handle:
         bfile = parse_bfile(handle.read())
+    if args.count is not None:
+        _check_count(args.count)
     if not bfile.entries:
         print("fixture is empty; nothing to compare")
         return EXIT_OK
@@ -270,9 +278,9 @@ def cmd_crosscheck(args) -> int:
         _print_event(exc.event)
         return EXIT_CHECK_FAILED
 
-    # The entries are consecutive, so the overlap with the buffer is a slice;
+    # The entries are consecutive, so the overlap with n < count is a slice;
     # a start past the stop is clamped to it, as verify and certify do.
-    hi = min(file_stop, buffer.next_index)
+    hi = min(file_stop, count)
     lo = min(max(file_start, buffer.start_index), hi)
     overlap = bfile.entries[lo - file_start : hi - file_start]
     index, value = next(((i, v) for i, v in overlap if buffer.term(i) != v), (None, None))

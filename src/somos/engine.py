@@ -393,14 +393,3 @@ def _identity(buffer: SequenceBuffer, spec: SequenceSpec, n: int) -> bool:
     terms = [buffer.term(n - d) for d in range(spec.order + 1)]  # a_n .. a_{n-k}
     return terms[0] * terms[-1] == sum(terms[i] * terms[j] for i, j in spec.summands)
 
-
-def is_positive_nondecreasing(buffer: SequenceBuffer) -> bool:
-    """Runtime check: every retained term >= its predecessor >= 1."""
-    previous = None
-    for _, value in buffer.items():
-        if value < 1:
-            return False
-        if previous is not None and value < previous:
-            return False
-        previous = value
-    return True

@@ -39,14 +39,6 @@ class IndexOutOfRangeError(SomosError):
     """A required sequence index is not present in the buffer."""
 
 
-class InvalidChainError(SomosError):
-    """A certificate's facts failed in strict mode.
-
-    Raised when a shift identity fails, the precondition gcd is not 1 or
-    the numerator residue is nonzero; chain steps follow from the shifts.
-    """
-
-
 class NonIntegralTermError(SomosError):
     """Integer-mode generation hit a non-exact division.
 

@@ -11,22 +11,24 @@ from hypothesis import strategies as st
 from somos import (
     CERTIFICATE_START,
     IndexOutOfRangeError,
-    InvalidChainError,
     SequenceBuffer,
     ZeroDenominatorError,
     build_certificate,
-    cancellation_precondition,
     certify_range,
     check_index_shifts,
     emit_report_json,
     gcd,
     generate,
     somos5_spec,
-    somos_k_spec,
-    verify_integrality,
 )
 
-from somos.certificate import _failure_reason
+from somos.certificate import (
+    _PAIRS,
+    _chain_lines,
+    _failure_reason,
+    _pairwise_products,
+    _shift_identities,
+)
 
 from helpers import SOMOS_SUMMANDS, certificate_oracle, first_fractional_index, fraction_terms
 
@@ -96,33 +98,19 @@ class Poly:
         return bool(self.terms) and all(exponents[d - 1] > 0 for exponents in self.terms)
 
 
-def chain_lines(t):
-    """certificate_oracle's eight lines over t[d] = a_{n-d}, as (value, dropped or 0)."""
-    return [
-        (t[8] * t[9] * (t[1] * t[4] + t[2] * t[3]), 0),
-        (t[8] * t[9] * t[1] * t[4] + t[8] * t[9] * t[2] * t[3], 0),
-        (t[8] * t[1] * (t[5] * t[8] + t[6] * t[7]) + t[9] * t[2] * (t[4] * t[7] + t[5] * t[6]), 0),
-        (
-            t[8] * t[1] * t[6] * t[7] + t[9] * t[2] * t[4] * t[7],
-            t[8] * t[1] * t[5] * t[8] + t[9] * t[2] * t[5] * t[6],
-        ),
-        (t[8] * t[7] * (t[2] * t[5] + t[3] * t[4]) + t[9] * t[4] * (t[3] * t[6] + t[4] * t[5]), 0),
-        (
-            t[8] * t[7] * t[3] * t[4] + t[9] * t[4] * t[3] * t[6],
-            t[8] * t[7] * t[2] * t[5] + t[9] * t[4] * t[4] * t[5],
-        ),
-        (t[3] * t[4] * (t[8] * t[7] + t[9] * t[6]), 0),
-        (t[3] * t[4] * t[5] * t[10], 0),
-    ]
-
-
 def shift_gap(t, s):
     """lhs - rhs of shift identity s: a_{n-s}a_{n-s-5} minus the recurrence's right-hand side."""
     return t[s] * t[s + 5] - (t[s + 1] * t[s + 4] + t[s + 2] * t[s + 3])
 
 
+def variables():
+    """The window t with t[d] = the variable t_d for d = 1..10; t[0] is unused."""
+    return (0,) + tuple(Poly.variable(d) for d in range(1, 11))
+
+
 def chain_step_identities(t):
-    """For steps 1..7: (line_{i-1} - line_i - dropped_i, sum over s of c_s * shift_gap_s)."""
+    """For steps 1..7 of the production chain over the window t:
+    (line_{i-1} - line_i - dropped_i, sum over s of c_s * shift_gap_s)."""
     cofactors = [
         {},
         {4: t[1] * t[8], 3: t[2] * t[9]},
@@ -132,7 +120,7 @@ def chain_step_identities(t):
         {},
         {5: -(t[3] * t[4])},
     ]
-    lines = chain_lines(t)
+    lines = [(value, 0 if dropped is None else dropped) for value, dropped in _chain_lines(t)]
     return [
         (
             lines[step - 1][0] - lines[step][0] - lines[step][1],
@@ -173,18 +161,18 @@ class TestIndexShifts:
 class TestCancellationPrecondition:
     def test_at_10(self, somos5_buffer):
         # gcd(a_5, a_2 * a_1) = gcd(2, 1)
-        assert cancellation_precondition(somos5_buffer(12), 10) == 1
+        assert build_certificate(somos5_buffer(12), 10).precondition_gcd == 1
 
     def test_at_14(self, somos5_buffer):
         # gcd(a_9, a_6 * a_5) = gcd(37, 6)
-        assert cancellation_precondition(somos5_buffer(14), 14) == 1
+        assert build_certificate(somos5_buffer(14), 14).precondition_gcd == 1
 
     def test_at_500(self, somos5_buffer):
-        assert cancellation_precondition(somos5_buffer(501), 500) == 1
+        assert build_certificate(somos5_buffer(501), 500).precondition_gcd == 1
 
     def test_missing_terms(self, somos5_buffer):
         with pytest.raises(IndexOutOfRangeError):
-            cancellation_precondition(somos5_buffer(12), 18)
+            build_certificate(somos5_buffer(12), 18)
 
 
 class TestBuildCertificate:
@@ -235,12 +223,6 @@ class TestBuildCertificate:
         cert = build_certificate(SequenceBuffer(values), 10)
         assert not cert.valid
         assert not all(s.holds for s in cert.shifts)
-
-    def test_strict_mode_raises(self, somos5_values):
-        values = list(somos5_values[:12])
-        values[9] = 36
-        with pytest.raises(InvalidChainError):
-            build_certificate(SequenceBuffer(values), 10, strict=True)
 
     def test_below_start_rejected(self, somos5_buffer):
         with pytest.raises(IndexOutOfRangeError):
@@ -320,47 +302,40 @@ class TestCertificateOracle:
 class TestChainFollowsFromTheShifts:
     """No chain step can fail while all five shift identities hold.
 
-    Each step's difference, less what it drops, expands to the stated
+    The production _chain_lines is expanded over polynomial variables:
+    each step's difference, less what it drops, expands to the stated
     combination of the shift gaps, so it is zero whenever they are; the
     dropped multiples and the last line carry a_{n-5} = t5 literally.
     """
 
     def test_each_step_is_a_combination_of_the_shift_gaps(self):
-        t = {d: Poly.variable(d) for d in range(1, 11)}
-        for difference, combination in chain_step_identities(t):
+        for difference, combination in chain_step_identities(variables()):
             assert difference == combination
 
+    def test_shift_identities_are_the_shift_gaps(self):
+        t = variables()
+        for identity in _shift_identities(_pairwise_products(t, _PAIRS)):
+            assert identity.lhs - identity.rhs == shift_gap(t, identity.shift)
+
     def test_dropped_multiples_and_last_line_carry_t5(self):
-        lines = chain_lines({d: Poly.variable(d) for d in range(1, 11)})
-        assert [step for step, (_, dropped) in enumerate(lines) if dropped != 0] == [3, 5]
+        lines = _chain_lines(variables())
+        assert [step for step, (_, dropped) in enumerate(lines) if dropped is not None] == [3, 5]
         for polynomial in (lines[3][1], lines[5][1], lines[7][0]):
             assert polynomial.has_literal_factor(5)
-
-    def test_lines_are_the_oracles(self, somos5_values):
-        rng = random.Random(1991)
-        buffers = [list(somos5_values[:40])] + [
-            [rng.choice((-1, 1)) * rng.randrange(1, 60) for _ in range(12)] for _ in range(50)
-        ]
-        for values in buffers:
-            for n in range(CERTIFICATE_START, len(values)):
-                t = {d: values[n - d] for d in range(1, 11)}
-                chain = certificate_oracle(values, n)[4]
-                lines = [(value, dropped or 0) for _, _, value, _, _, dropped in chain]
-                assert chain_lines(t) == lines
-                for difference, combination in chain_step_identities(t):
-                    assert difference == combination
 
     def test_sympy_expands_the_same(self):
         sympy = pytest.importorskip("sympy")
         symbols = sympy.symbols("t1:11")
-        t = {d: symbols[d - 1] for d in range(1, 11)}
+        t = (0,) + symbols
         for difference, combination in chain_step_identities(t):
             assert sympy.expand(difference - combination) == 0
-        ours = chain_lines({d: Poly.variable(d) for d in range(1, 11)})
-        for line, expanded in zip(chain_lines(t), ours):
+        for line, expanded in zip(_chain_lines(t), _chain_lines(variables())):
             for expression, polynomial in zip(line, expanded):
+                if expression is None:
+                    assert polynomial is None
+                    continue
                 terms = sympy.Poly(expression, *symbols).as_dict()
-                assert {e: int(c) for e, c in terms.items()} == Poly.lift(polynomial).terms
+                assert {e: int(c) for e, c in terms.items()} == polynomial.terms
 
 
 class TestChainOnDemand:
@@ -390,28 +365,26 @@ class TestChainOnDemand:
 
 
 class TestVerifyIntegrality:
+    """A valid certificate at n coincides with the engine producing a_n by exact division."""
+
     def test_at_10(self, somos5_buffer, somos5_values):
-        assert verify_integrality(somos5_buffer(12), somos5_spec(), 10)
+        assert build_certificate(somos5_buffer(12), 10).valid
         assert somos5_values[10] == 83
 
     def test_at_12(self, somos5_buffer, somos5_values):
-        assert verify_integrality(somos5_buffer(12), somos5_spec(), 12)
+        assert build_certificate(somos5_buffer(12), 12).valid
         assert somos5_values[12] == 1217
 
     def test_somos8_fails_at_first_fractional_index(self):
         oracle = fraction_terms(8, SOMOS_SUMMANDS[8], 40)
         failing = first_fractional_index(oracle)
         prefix = [int(v) for v in oracle[:failing]]
-        buffer = SequenceBuffer(prefix)
-        assert not verify_integrality(buffer, somos_k_spec(8), failing)
+        assert not build_certificate(SequenceBuffer(prefix), failing).valid
 
     def test_certificate_and_division_routes_agree_over_sweep(self, somos5_buffer, somos5_values):
-        # soundness coupling: a valid certificate at n must coincide with
-        # the engine actually producing a_n by exact division
         buffer = somos5_buffer(100)
-        spec = somos5_spec()
         for n in range(10, 100):
-            assert verify_integrality(buffer, spec, n)
+            assert build_certificate(buffer, n).valid
             numerator = somos5_values[n - 1] * somos5_values[n - 4] + (
                 somos5_values[n - 2] * somos5_values[n - 3]
             )

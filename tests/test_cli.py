@@ -390,6 +390,51 @@ class TestCrosscheck:
             assert out == "crosscheck over n in [30, 30): 0 checked, pass\n"
 
 
+class TestCountOnBfileInput:
+    """--count bounds the indices n < count in verify and crosscheck alike."""
+
+    @pytest.mark.parametrize(
+        "name, count, verify_out, crosscheck_out",
+        [
+            (
+                "tail",
+                "30",
+                "note: range below coprime window start (n = 34); zero windows\n"
+                "coprime-window over n in [30, 30): 0 checked, pass\n",
+                "crosscheck over n in [30, 30): 0 checked, pass\n",
+            ),
+            (
+                "tail",
+                "80",
+                "coprime-window over n in [54, 80): 26 checked, pass\n",
+                "crosscheck over n in [50, 80): 30 checked, pass\n",
+            ),
+            (
+                "fixture",
+                "3",
+                "note: range below coprime window start (n = 4); zero windows\n"
+                "coprime-window over n in [3, 3): 0 checked, pass\n",
+                "crosscheck over n in [0, 3): 3 checked, pass\n",
+            ),
+        ],
+        ids=["tail-30", "tail-80", "fixture-3"],
+    )
+    def test_count_is_an_index_bound(self, tmp_path, capsys, name, count, verify_out, crosscheck_out):
+        # "tail" is the fixture from n = 50 on.
+        path = TestCrosscheck._write_input(tmp_path, name)
+        for command, expected in (("verify", verify_out), ("crosscheck", crosscheck_out)):
+            assert main([command, "--input", path, "--count", count]) == 0
+            assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("name", ["tail", "fixture"])
+    def test_negative_count_is_a_usage_error(self, tmp_path, capsys, name):
+        path = TestCrosscheck._write_input(tmp_path, name)
+        for command in ("verify", "crosscheck"):
+            assert main([command, "--input", path, "--count", "-5"]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", "error: count must be non-negative, got -5\n")
+
+
 class TestUsage:
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
