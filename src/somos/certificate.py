@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .coprime import VerificationReport, gcd
+from .coprime import VerificationReport, first_failure, gcd
 from .engine import SequenceBuffer, _divmod, as_integer
 from .errors import IndexOutOfRangeError, ZeroDenominatorError
 
@@ -250,29 +250,17 @@ def certify_range(
         start = max(CERTIFICATE_START, buffer.start_index + 10)
     if stop is None:
         stop = buffer.next_index
-    start = min(start, stop)
-    checked = 0
-    for n in range(start, stop):
-        certificate = build_certificate(buffer, n)
-        checked += 1
-        if not certificate.valid:
-            return VerificationReport(
-                check="certificate",
-                start=start,
-                stop=stop,
-                checked=checked,
-                passed=False,
-                first_failure_index=n,
-                first_failure_reason=_failure_reason(certificate),
-            )
-    return VerificationReport(
-        check="certificate", start=start, stop=stop, checked=checked, passed=True
+    return first_failure(
+        "certificate", start, stop, lambda n: _failure_reason(build_certificate(buffer, n))
     )
 
 
-def _failure_reason(certificate: DivisibilityCertificate) -> str:
+def _failure_reason(certificate: DivisibilityCertificate) -> str | None:
+    """The first fact a certificate fails, or None when it is valid."""
     from .formats import to_decimal  # formats imports this module
 
+    if certificate.valid:
+        return None
     if certificate.precondition_gcd != 1:
         return f"precondition gcd = {to_decimal(certificate.precondition_gcd)}"
     for identity in certificate.shifts:

@@ -18,19 +18,15 @@ from .coprime import (
     DEFAULT_BOUND,
     DEFAULT_SAMPLES,
     VerificationReport,
+    first_failure,
     run_lemma_harness,
     verify_recurrence_and_windows,
     window_start,
 )
-from .engine import (
-    INTEGER,
-    RATIONAL,
-    SequenceBuffer,
-    generate,
-    somos5_spec,
-)
+from .engine import INTEGER, RATIONAL, generate, somos5_spec
 from .errors import NonIntegralTermError, SomosError
 from .formats import (
+    buffer_from_bfile,
     emit_bfile,
     emit_report_json,
     emit_terms_json,
@@ -150,12 +146,6 @@ def _print_report(report: VerificationReport, fmt: str) -> None:
     print(line)
 
 
-def _check_count(count: int) -> None:
-    """--count on a b-file input bounds the file's indices covered: n < count."""
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-
-
 def cmd_generate(args) -> int:
     spec = somos_k_spec(args.k)
     try:
@@ -177,21 +167,20 @@ def cmd_verify(args) -> int:
     _scope_note(spec)
     if args.input:
         with open(args.input, "r", encoding="utf-8") as handle:
-            entries = parse_bfile(handle.read()).entries
-        # A file that starts past the bound leaves the empty range [count, count).
-        _check_count(args.count)
-        start = min(entries[0][0] if entries else 0, args.count)
-        buffer = SequenceBuffer([v for i, v in entries if i < args.count], start_index=start)
+            bfile = parse_bfile(handle.read())
+        buffer = buffer_from_bfile(bfile, args.count)
+        first = bfile.start_index  # the buffer starts at count when the file starts past it
     else:
         try:
             buffer = generate(spec, args.count, mode=INTEGER)
         except NonIntegralTermError as exc:
             _print_event(exc.event)
             return EXIT_CHECK_FAILED
+        first = buffer.start_index
 
     report = verify_recurrence_and_windows(buffer, spec, depth=args.depth)
     if report.checked == 0 and args.format == "text":
-        start = window_start(buffer, args.depth)
+        start = window_start(first, args.depth)
         print(f"note: range below coprime window start (n = {start}); zero windows")
     _print_report(report, args.format)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
@@ -263,38 +252,25 @@ def cmd_scan(args) -> int:
 def cmd_crosscheck(args) -> int:
     with open(args.input, "r", encoding="utf-8") as handle:
         bfile = parse_bfile(handle.read())
-    if args.count is not None:
-        _check_count(args.count)
+    fixture = buffer_from_bfile(bfile, args.count)
     if not bfile.entries:
         print("fixture is empty; nothing to compare")
         return EXIT_OK
     spec = somos_k_spec(args.k)
-    file_start = bfile.entries[0][0]
-    file_stop = bfile.entries[-1][0] + 1
-    count = args.count if args.count is not None else file_stop
+    stop = fixture.next_index
     try:
-        buffer = generate(spec, max(count, spec.order), mode=INTEGER)
+        buffer = generate(spec, max(stop, spec.order), mode=INTEGER)
     except NonIntegralTermError as exc:
         _print_event(exc.event)
         return EXIT_CHECK_FAILED
 
-    # The entries are consecutive, so the overlap with n < count is a slice;
-    # a start past the stop is clamped to it, as verify and certify do.
-    hi = min(file_stop, count)
-    lo = min(max(file_start, buffer.start_index), hi)
-    overlap = bfile.entries[lo - file_start : hi - file_start]
-    index, value = next(((i, v) for i, v in overlap if buffer.term(i) != v), (None, None))
-    report = VerificationReport(
-        check="crosscheck",
-        start=lo,
-        stop=hi,
-        checked=hi - lo if index is None else index - lo + 1,
-        passed=index is None,
-        first_failure_index=index,
-        first_failure_reason=None if index is None else (
-            f"generated {to_decimal(buffer.term(index))} != fixture {to_decimal(value)}"
-        ),
-    )
+    def mismatch(n):
+        generated, expected = buffer.term(n), fixture.term(n)
+        if generated == expected:
+            return None
+        return f"generated {to_decimal(generated)} != fixture {to_decimal(expected)}"
+
+    report = first_failure("crosscheck", max(fixture.start_index, 0), stop, mismatch)
     _print_report(report, args.format)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 

@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .engine import SequenceBuffer, SequenceSpec, _identity, as_integer
+from .engine import SequenceBuffer, SequenceSpec, as_integer, first_recurrence_violation
 from .errors import IndexOutOfRangeError, SomosError
 
 LEMMA_NAMES = ("product", "pairwise", "shift", "cancellation")
@@ -176,9 +176,25 @@ class VerificationReport:
     first_failure_reason: str | None = None
 
 
-def window_start(buffer: SequenceBuffer, depth: int) -> int:
-    """First index verify_coprime_range checks by default."""
-    return max(depth, buffer.start_index + depth)
+def first_failure(check: str, start: int, stop: int, failure_at) -> VerificationReport:
+    """Walk n over [start, stop) until failure_at(n) gives a reason; report the range.
+
+    failure_at returns None where n passes and a reason string where it
+    fails.  A start past stop is clamped to stop, so an empty range reads
+    [stop, stop).  The first failure ends the walk, with n - start + 1
+    checked.  Every range report is built here.
+    """
+    start = min(start, stop)
+    for n in range(start, stop):
+        reason = failure_at(n)
+        if reason is not None:
+            return VerificationReport(check, start, stop, n - start + 1, False, n, reason)
+    return VerificationReport(check, start, stop, stop - start, True)
+
+
+def window_start(start_index: int, depth: int) -> int:
+    """First index whose depth predecessors lie in a buffer starting at start_index."""
+    return max(depth, start_index + depth)
 
 
 def verify_coprime_range(
@@ -189,52 +205,56 @@ def verify_coprime_range(
 ) -> VerificationReport:
     """Run coprime windows for every n in [start, stop); default full coverage.
 
-    A start past stop is clamped to stop, so an empty range reads [stop, stop).
     Every window computes its depth gcds, and the first failing one ends
     the range.
     """
     if start is None:
-        start = window_start(buffer, depth)
+        start = window_start(buffer.start_index, depth)
     if stop is None:
         stop = buffer.next_index
-    start = min(start, stop)
-    for checked, n in enumerate(range(start, stop), 1):
-        report = verify_coprime_window(buffer, n, depth)
-        if not report.passed:
-            return _window_failure(report, start, stop, checked)
-    return VerificationReport(
-        check="coprime-window", start=start, stop=stop, checked=stop - start, passed=True
-    )
+
+    def window_failure(n):
+        return _window_reason(verify_coprime_window(buffer, n, depth))
+
+    return first_failure("coprime-window", start, stop, window_failure)
 
 
 def verify_recurrence_and_windows(
     buffer: SequenceBuffer, spec: SequenceSpec, depth: int = 4
 ) -> VerificationReport:
-    """Check the recurrence identity and the coprime windows of a whole buffer in one pass.
+    """Check the coprime windows and the recurrence identity of a whole buffer.
 
-    The identity a_n a_{n-k} = sum of a_{n-i} a_{n-j} is evaluated once,
-    exactly, at every n in [max(start_index + k, k), next_index), on
-    integral and rational terms alike, as first_recurrence_violation
-    does.  The windows run over the range verify_coprime_range covers by
-    default.  The first identity violation is reported as a
-    "recurrence-identity" failure, in preference to any coprime failure,
-    an earlier one included: after a window fails or raises, the pass
-    goes on evaluating the identity alone.  Without a violation the
-    result is exactly that of verify_coprime_range(buffer, depth), and
-    what a window raised is raised.
+    First the windows run over the range verify_coprime_range covers by
+    default, deriving some offsets from the identity (below) instead of
+    computing their gcds; what a window raises is kept.  Then
+    first_recurrence_violation evaluates the identity a_n a_{n-k} = sum
+    of a_{n-i} a_{n-j} once, exactly, at every n in [max(start_index + k,
+    k), next_index), on integral and rational terms alike.  A violation
+    is reported as a "recurrence-identity" failure, in preference to any
+    coprime failure or raised error, an earlier one included.  Without a
+    violation, what a window raised is raised, and otherwise the result
+    is exactly that of verify_coprime_range(buffer, depth).
 
     A window at n derives gcd(a_n, a_{n-o}) = 1 for an offset o from
-    the identity instead of computing it, by this argument.  Let o < k,
-    let (i, j) be the only summand of the spec that does not contain o,
-    and let the identity hold at n.  A prime p dividing a_n and a_{n-o}
-    divides the left side and every summand holding a_{n-o}, so it
-    divides a_{n-i} a_{n-j}, hence a_{n-i} or a_{n-j}.  It then divides
-    both terms of the pair (a_{n-o}, a_{n-i}) or (a_{n-o}, a_{n-j}).
-    The window at n - min(o, i) holds the first pair at offset |o - i|,
-    and likewise for j.  When both offsets are in 1..depth and both
-    windows lie in the range, they have passed, since no window is run
-    after the first failure; so no such p exists.  Zero is divisible by
-    every prime, so the argument covers zero terms too.
+    the identity at n, by this argument.  Let o < k, let (i, j) be the
+    only summand of the spec that does not contain o, and let the
+    identity hold at n.  A prime p dividing a_n and a_{n-o} divides the
+    left side and every summand holding a_{n-o}, so it divides a_{n-i}
+    a_{n-j}, hence a_{n-i} or a_{n-j}.  It then divides both terms of the
+    pair (a_{n-o}, a_{n-i}) or (a_{n-o}, a_{n-j}).  The window at n -
+    min(o, i) holds the first pair at offset |o - i|, and likewise for j.
+    When both offsets are in 1..depth and both windows lie in the range,
+    they have passed, since no window is run after the first failure; so
+    no such p exists.  Zero is divisible by every prime, so the argument
+    covers zero terms too.
+
+    The windows derive before the identity is evaluated, assuming it
+    holds at every n >= max(start_index + k, k).  An unsound derivation
+    can never reach a report: where the assumption is false, the
+    identity pass finds the violation and its report replaces whatever
+    the windows found or raised.  Where it is true, every derived
+    offset provably passes, so each window failure comes from a
+    computed gcd.
 
     The argument is about integers, and a window derives only where
     a_{n-k} .. a_n have all been made integers.  Its own term a_n is,
@@ -243,71 +263,49 @@ def verify_recurrence_and_windows(
     or one of the depth terms before the range, which the first window
     holds and, deriving nothing, converts.  All those windows have
     passed, and a term that is not integral raises where it is
-    converted.  A derived offset provably passes, so each failure comes
-    from a computed gcd.  Which offsets qualify follows from
-    spec.summands.  For Somos-5 at depth 2 or more, every offset up to
-    min(depth, 4) is derived from the fourth window of the range on, and
-    offsets from 5 on are always computed.  Somos-6 and Somos-7 have no
-    qualifying offset, since each offset misses at least two of their
-    summands.
+    converted, as it does in verify_coprime_range.  Which offsets
+    qualify follows from spec.summands.  For Somos-5 at depth 2 or
+    more, every offset up to min(depth, 4) is derived from the fourth
+    window of the range on, and offsets from 5 on are always computed.
+    Somos-6 and Somos-7 have no qualifying offset, since each offset
+    misses at least two of their summands.
     """
     reach = _derivable_offsets(spec, depth)
     lo = max(buffer.start_index + spec.order, spec.order)
+    start = window_start(buffer.start_index, depth)
     stop = buffer.next_index
-    start = min(window_start(buffer, depth), stop)
-    outcome = None  # the first failing window's report, or what a window raised
-    checked = 0
-    for n in range(min(start, lo), stop):
-        windowed = outcome is None and n >= start
-        proven = frozenset()
-        if n >= lo:
-            if not _identity(buffer, spec, n):
-                return VerificationReport(
-                    check="recurrence-identity",
-                    start=lo,
-                    stop=stop,
-                    checked=n - lo + 1,
-                    passed=False,
-                    first_failure_index=n,
-                    first_failure_reason="a_n * a_{n-k} != bilinear sum",
-                )
-            if windowed:
-                proven = frozenset(o for o, back in reach.items() if n - back >= start)
-        if not windowed:
-            continue
-        try:
-            report = verify_coprime_window(buffer, n, depth, proven)
-        except (ValueError, SomosError) as exc:
-            outcome = exc
-        else:
-            checked += 1
-            if not report.passed:
-                outcome = _window_failure(report, start, stop, checked)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome or VerificationReport(
-        check="coprime-window", start=start, stop=stop, checked=checked, passed=True
-    )
+
+    def window_failure(n):
+        proven = frozenset(o for o, back in reach.items() if n >= lo and n - back >= start)
+        return _window_reason(verify_coprime_window(buffer, n, depth, proven))
+
+    try:
+        windows = first_failure("coprime-window", start, stop, window_failure)
+    except (ValueError, SomosError) as exc:
+        windows = exc
+    violation = first_recurrence_violation(buffer, spec)
+    if violation is not None:
+        # The walk over [lo, violation] only counts: each identity was evaluated once, above.
+        return first_failure(
+            "recurrence-identity",
+            lo,
+            stop,
+            lambda n: "a_n * a_{n-k} != bilinear sum" if n == violation else None,
+        )
+    if isinstance(windows, Exception):
+        raise windows
+    return windows
 
 
-def _window_failure(
-    report: CoprimeWindowReport, start: int, stop: int, checked: int
-) -> VerificationReport:
+def _window_reason(report: CoprimeWindowReport) -> str | None:
+    """The failure reason of a window, naming its first offset with a common factor."""
     from .formats import to_decimal  # formats imports this module
 
+    if report.passed:
+        return None
     n = report.index
     offender = next(i + 1 for i, g in enumerate(report.gcds) if g != 1)
-    return VerificationReport(
-        check="coprime-window",
-        start=start,
-        stop=stop,
-        checked=checked,
-        passed=False,
-        first_failure_index=n,
-        first_failure_reason=(
-            f"gcd(a_{n}, a_{n - offender}) = {to_decimal(report.gcds[offender - 1])}"
-        ),
-    )
+    return f"gcd(a_{n}, a_{n - offender}) = {to_decimal(report.gcds[offender - 1])}"
 
 
 def _derivable_offsets(spec: SequenceSpec, depth: int) -> dict[int, int]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certificate import DivisibilityCertificate
-from .coprime import CoprimeWindowReport, LemmaHarnessReport, VerificationReport
+from .coprime import LemmaHarnessReport, VerificationReport
 from .engine import NonIntegralEvent, SequenceBuffer, SequenceSpec, _divmod, as_integer
 from .errors import GapError, ParseError
 from .scanner import BreakdownReport, NoncoprimeWitness
@@ -140,6 +140,11 @@ class BFile:
                     f"entry indices must increase by 1 ({prev_index} then {index})"
                 )
 
+    @property
+    def start_index(self) -> int:
+        """Index of the first entry; 0 for an empty file."""
+        return self.entries[0][0] if self.entries else 0
+
 
 def parse_bfile(text: str) -> BFile:
     """Parse OEIS b-file text: '<index> <value>' lines, '#' comments, blanks."""
@@ -170,10 +175,21 @@ def emit_bfile(source: SequenceBuffer | BFile) -> str:
     return "".join(f"{index} {to_decimal(as_integer(value))}\n" for index, value in items)
 
 
-def buffer_from_bfile(bfile: BFile) -> SequenceBuffer:
-    """Load b-file entries into a buffer at their own indices."""
-    start = bfile.entries[0][0] if bfile.entries else 0
-    return SequenceBuffer([value for _, value in bfile.entries], start_index=start)
+def buffer_from_bfile(bfile: BFile, count: int | None = None) -> SequenceBuffer:
+    """Load the b-file entries n < count into a buffer at their own indices.
+
+    The buffer starts at min(file start, count), so a file that starts
+    past the bound gives an empty buffer at count; count None bounds
+    nothing, and a negative count raises ValueError.
+    """
+    start = bfile.start_index
+    if count is None:
+        count = start + len(bfile.entries)
+    elif count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+    return SequenceBuffer(
+        [value for index, value in bfile.entries if index < count], start_index=min(start, count)
+    )
 
 
 def term_text(value) -> str:
@@ -203,15 +219,6 @@ def emit_report_json(report) -> str:
 def _payload(report) -> dict:
     if isinstance(report, DivisibilityCertificate):
         return _certificate_payload(report)
-    if isinstance(report, CoprimeWindowReport):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "coprime_window_report",
-            "index": report.index,
-            "depth": report.depth,
-            "gcds": [to_decimal(g) for g in report.gcds],
-            "pass": report.passed,
-        }
     if isinstance(report, VerificationReport):
         return {
             "schema_version": SCHEMA_VERSION,

@@ -12,8 +12,10 @@ from dataclasses import dataclass
 
 from .coprime import gcd
 from .engine import (
+    INTEGER,
     RATIONAL,
     NonIntegralEvent,
+    SequenceBuffer,
     SequenceSpec,
     as_integer,
     new_state,
@@ -58,7 +60,8 @@ def _rational_prefix(spec: SequenceSpec, max_terms: int):
     """Step in rational mode until max_terms or the first non-integral term.
 
     Returns (buffer, event); the buffer includes the offending fractional
-    term when event is not None.
+    term when event is not None.  The event is the engine's own: one
+    integer-mode step over the k integral terms before it.
     """
     spec.validate()
     if max_terms < spec.order:
@@ -66,17 +69,10 @@ def _rational_prefix(spec: SequenceSpec, max_terms: int):
     buffer = new_state(spec)
     while buffer.next_index < max_terms:
         n = buffer.next_index
-        value = next_term(buffer, spec, RATIONAL)
-        if value.denominator != 1:
-            numerator = sum(
-                as_integer(buffer.term(n - i)) * as_integer(buffer.term(n - j))
-                for i, j in spec.summands
-            )
-            denominator = as_integer(buffer.term(n - spec.order))
-            event = NonIntegralEvent(
-                n, numerator, denominator, numerator % abs(denominator)
-            )
-            return buffer, event
+        if next_term(buffer, spec, RATIONAL).denominator != 1:
+            k = spec.order
+            window = [as_integer(buffer.term(i)) for i in range(n - k, n)]
+            return buffer, next_term(SequenceBuffer(window, start_index=n - k), spec, INTEGER)
     return buffer, None
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import somos.cli
 from somos import SequenceBuffer, emit_bfile, emit_report_json, generate, somos_k_spec
 from somos.cli import main
 
@@ -328,14 +329,15 @@ class TestCrosscheck:
         assert "first failure at n = 25" in capsys.readouterr().out
 
     def test_empty_fixture(self, tmp_path, capsys):
-        empty = tmp_path / "empty.txt"
-        empty.write_text("# nothing\n", encoding="utf-8")
-        assert main(["crosscheck", "--input", str(empty)]) == 0
+        empty = self._write_input(tmp_path, "empty")
+        for count in ([], ["--count", "0"], ["--count", "30"]):
+            assert main(["crosscheck", "--input", empty] + count) == 0
+            assert capsys.readouterr().out == "fixture is empty; nothing to compare\n"
 
     @staticmethod
     def _write_input(tmp_path, name):
         # "altered" adds 1 to the fixture's a_25; "tail" starts it at n = 50;
-        # "negative" re-indexes its first six terms from -2.
+        # "negative" re-indexes its first six terms from -2; "empty" has no entry.
         lines = FIXTURE.read_text(encoding="utf-8").splitlines()
         index, value = lines[25].split()
         files = {
@@ -343,6 +345,7 @@ class TestCrosscheck:
             "altered": lines[:25] + [f"{index} {int(value) + 1}"] + lines[26:],
             "tail": lines[50:],
             "negative": [f"{m - 2} {line.split()[1]}" for m, line in enumerate(lines[:6])],
+            "empty": ["# nothing"],
         }
         path = tmp_path / f"{name}.txt"
         path.write_text("\n".join(files[name]) + "\n", encoding="utf-8")
@@ -377,6 +380,29 @@ class TestCrosscheck:
         assert main(["crosscheck", "--input", path] + argv[1:]) == code
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "name, count, generated",
+        [
+            ("fixture", [], 200),
+            ("fixture", ["--count", "900"], 200),
+            ("fixture", ["--count", "3"], 5),
+            ("tail", ["--count", "80"], 80),
+            ("tail", ["--count", "30"], 30),
+        ],
+    )
+    def test_generates_only_up_to_the_compared_stop(
+        self, tmp_path, capsys, monkeypatch, name, count, generated
+    ):
+        # A --count past the end of the file compares nothing more, so it
+        # generates nothing more.
+        counts = []
+        original = somos.cli.generate
+        monkeypatch.setattr(
+            somos.cli, "generate", lambda spec, n, mode: counts.append(n) or original(spec, n, mode)
+        )
+        assert main(["crosscheck", "--input", self._write_input(tmp_path, name)] + count) == 0
+        assert counts == [generated]
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_file_past_the_count_is_clamped_to_stop(self, tmp_path, capsys, fmt):
         path = self._write_input(tmp_path, "tail")
@@ -399,9 +425,16 @@ class TestCountOnBfileInput:
             (
                 "tail",
                 "30",
-                "note: range below coprime window start (n = 34); zero windows\n"
+                "note: range below coprime window start (n = 54); zero windows\n"
                 "coprime-window over n in [30, 30): 0 checked, pass\n",
                 "crosscheck over n in [30, 30): 0 checked, pass\n",
+            ),
+            (
+                "tail",
+                "52",
+                "note: range below coprime window start (n = 54); zero windows\n"
+                "coprime-window over n in [52, 52): 0 checked, pass\n",
+                "crosscheck over n in [50, 52): 2 checked, pass\n",
             ),
             (
                 "tail",
@@ -417,16 +450,17 @@ class TestCountOnBfileInput:
                 "crosscheck over n in [0, 3): 3 checked, pass\n",
             ),
         ],
-        ids=["tail-30", "tail-80", "fixture-3"],
+        ids=["tail-30", "tail-52", "tail-80", "fixture-3"],
     )
     def test_count_is_an_index_bound(self, tmp_path, capsys, name, count, verify_out, crosscheck_out):
-        # "tail" is the fixture from n = 50 on.
+        # "tail" is the fixture from n = 50 on; the note names its first window
+        # whether or not the file starts past the count.
         path = TestCrosscheck._write_input(tmp_path, name)
         for command, expected in (("verify", verify_out), ("crosscheck", crosscheck_out)):
             assert main([command, "--input", path, "--count", count]) == 0
             assert capsys.readouterr().out == expected
 
-    @pytest.mark.parametrize("name", ["tail", "fixture"])
+    @pytest.mark.parametrize("name", ["tail", "fixture", "empty"])
     def test_negative_count_is_a_usage_error(self, tmp_path, capsys, name):
         path = TestCrosscheck._write_input(tmp_path, name)
         for command in ("verify", "crosscheck"):

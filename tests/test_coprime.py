@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import somos.coprime
+import somos.engine
 from somos import (
     RATIONAL,
     BFile,
@@ -414,9 +415,9 @@ class TestOnePassVerify:
 
     def test_one_identity_evaluation_per_index(self, somos5_buffer, monkeypatch):
         evaluated = []
-        identity = somos.coprime._identity
+        identity = somos.engine._identity
         monkeypatch.setattr(
-            somos.coprime, "_identity", lambda b, s, n: evaluated.append(n) or identity(b, s, n)
+            somos.engine, "_identity", lambda b, s, n: evaluated.append(n) or identity(b, s, n)
         )
         report = verify_recurrence_and_windows(somos5_buffer(300), somos5_spec())
         assert report.passed and report.checked == 296

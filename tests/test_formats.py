@@ -28,7 +28,6 @@ from somos import (
     somos5_spec,
     somos_k_spec,
     verify_coprime_range,
-    verify_coprime_window,
 )
 from somos.formats import from_decimal, term_text, to_decimal
 
@@ -96,6 +95,23 @@ class TestEmitBFile:
         parsed = buffer_from_bfile(parse_bfile(emit_bfile(buffer)))
         assert parsed.values() == buffer.values()
         assert parsed.start_index == buffer.start_index
+
+    @pytest.mark.parametrize(
+        "count, start, indices",
+        [
+            (None, 3, [3, 4, 5, 6]),
+            (9, 3, [3, 4, 5, 6]),
+            (5, 3, [3, 4]),
+            (3, 3, []),
+            (1, 1, []),
+            (0, 0, []),
+        ],
+    )
+    def test_count_bounds_the_indices(self, count, start, indices):
+        buffer = buffer_from_bfile(BFile(((3, 30), (4, 40), (5, 50), (6, 60))), count)
+        assert buffer.start_index == start
+        assert [i for i, _ in buffer.items()] == indices
+        assert buffer.values() == [10 * i for i in indices]
 
     def test_emit_parse_emit_is_identity_on_fixture(self):
         text = FIXTURE.read_text(encoding="utf-8")
@@ -242,13 +258,6 @@ class TestReportJson:
         assert payload["chain"][3]["kind"] == "drop-multiple"
         assert payload["chain"][3]["dropped_multiple"] == "96"
         assert [s["shift"] for s in payload["shifts"]] == [5, 4, 3, 2, 1]
-
-    def test_window_report_payload(self, somos5_buffer):
-        report = verify_coprime_window(somos5_buffer(12), 9, 4)
-        payload = json.loads(emit_report_json(report))
-        assert payload["kind"] == "coprime_window_report"
-        assert payload["gcds"] == ["1", "1", "1", "1"]
-        assert payload["pass"] is True
 
     def test_breakdown_report_nulls_when_clean(self):
         report = scan_integrality(somos5_spec(), 50)
