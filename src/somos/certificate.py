@@ -10,20 +10,35 @@ validity rests on three facts, all computed when it is built:
     lets the multiplier a_{n-8}a_{n-9} be removed again at the end,
   * the residue of the numerator modulo a_{n-5}, which must be zero.
 
+_recurrence_sides is the one description of the recurrence identity.
+Shift s at n is the recurrence at n - s, so along a range each identity
+belongs to five consecutive certificates.  certify_range therefore keeps
+one table from an index j to the (lhs, rhs) of the recurrence at j and
+passes it to build_certificate for each n in order, holding at most six
+entries: the first certificate evaluates its five shifts, and every later
+one reads them.  Where a_n is an integral term of the buffer, the
+certificate also evaluates the recurrence at n, a_n a_{n-5} against the
+numerator it sums anyway, and records it as the next certificate's shift
+1.  Where that identity holds, a_{n-5} divides the numerator by that
+exact equality and the residue is 0; only where it fails, or a_n is
+absent (certify --index N holds a_0 .. a_{N-1}) or fractional, is the
+numerator divided.  So a range forms four products per index, the new
+identity's three and the multiplier a_{n-8}a_{n-9} of the precondition,
+where building each certificate alone forms eighteen and a division.
+Either route yields the same certificate, field for field.
+
 The eight-step reduction chain displays how these facts combine: it
 multiplies the numerator by a_{n-8}a_{n-9}, rewrites it with the shift
 identities, drops explicit multiples of a_{n-5}, and ends at
 a_{n-3}a_{n-4}a_{n-5}a_{n-10}, which carries a_{n-5} as a literal factor.
 _chain_lines is its one description.  It builds the lines with +, - and
-* alone, so tests/test_certificate.py passes it a window of polynomial
-variables and expands this very function: each step's difference, less
-what it drops, is a fixed polynomial combination of the shift
-identities.  No step can fail while all five shifts hold, and the chain
-adds nothing to validity.  It is therefore evaluated exactly when it is
-read, from the window of ten terms the certificate keeps, and cached.
-Every line is computed from one table of pairwise products
-a_{n-i}a_{n-j}; lines 2, 4 and 6 reuse the identities' right-hand sides
-rather than summing those products again.  Exact-rewrite steps must
+* alone, over the sides of _recurrence_sides, so tests/test_certificate.py
+passes it a window of polynomial variables and expands this very
+function: each step's difference, less what it drops, is a fixed
+polynomial combination of the shift identities.  No step can fail while
+all five shifts hold, and the chain adds nothing to validity.  It is
+therefore evaluated exactly when it is read, from the window of ten
+terms the certificate keeps, and cached.  Exact-rewrite steps must
 reproduce the previous value bit-for-bit; drop-multiple steps must fall
 short of it by exactly the discarded products.  Those products, like the
 last line, are built as a_{n-5} times a cofactor, so they are multiples
@@ -39,6 +54,7 @@ ten earlier terms are integral by inspection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 from .coprime import VerificationReport, first_failure, gcd
@@ -49,16 +65,6 @@ EXACT_REWRITE = "exact-rewrite"
 DROP_MULTIPLE = "drop-multiple"
 
 CERTIFICATE_START = 10
-
-# Index pairs (i, j) of the products a_{n-i} a_{n-j} a certificate's
-# facts use: the three of each shift identity s = 1..5, the numerator and
-# the multiplier a_{n-8} a_{n-9}.  The chain adds the two outer factors
-# of its line 2.
-_PAIRS = tuple(
-    pair for s in range(1, 6) for pair in ((s, s + 5), (s + 1, s + 4), (s + 2, s + 3))
-) + ((1, 4), (2, 3), (8, 9))
-_CHAIN_PAIRS = _PAIRS + ((1, 8), (2, 9))
-
 
 @dataclass(frozen=True)
 class IndexShiftIdentity:
@@ -129,20 +135,34 @@ def _window(buffer: SequenceBuffer, n: int) -> tuple[int, ...]:
     return (0,) + tuple(as_integer(buffer.term(n - d)) for d in range(1, 11))
 
 
-def _pairwise_products(
-    t: tuple[int, ...], pairs: tuple[tuple[int, int], ...]
-) -> dict[tuple[int, int], int]:
-    """p[i, j] = t[i] * t[j] for the given pairs."""
-    return {(i, j): t[i] * t[j] for i, j in pairs}
+def _recurrence_sides(t, s: int) -> tuple:
+    """The recurrence at n - s over the window t, t[d] = a_{n-d}, as (lhs, rhs):
+    (a_{n-s} a_{n-s-5}, a_{n-s-1} a_{n-s-4} + a_{n-s-2} a_{n-s-3}).
+
+    Shifts s = 1..5 are the certificate's shift identities.  At s = 0 the
+    right-hand side is the numerator, and the left-hand side is a_n
+    a_{n-5} when t[0] holds a_n (0 in the stored window).  This is the one
+    description of the identity: certificates, check_index_shifts and
+    _chain_lines evaluate it here, with + and * alone, so tests pass it
+    polynomial variables too.
+    """
+    return t[s] * t[s + 5], t[s + 1] * t[s + 4] + t[s + 2] * t[s + 3]
 
 
-def _shift_identities(p: dict[tuple[int, int], int]) -> tuple[IndexShiftIdentity, ...]:
-    identities = []
+def _shift_identities(t, n: int, identities: dict) -> tuple[IndexShiftIdentity, ...]:
+    """Shifts 5 down to 1 at n over the window t.
+
+    identities maps an index j to the (lhs, rhs) of the recurrence at j;
+    shift s is the entry at n - s, evaluated and recorded when missing.
+    """
+    shifts = []
     for s in range(5, 0, -1):
-        lhs = p[s, s + 5]
-        rhs = p[s + 1, s + 4] + p[s + 2, s + 3]
-        identities.append(IndexShiftIdentity(shift=s, lhs=lhs, rhs=rhs, holds=lhs == rhs))
-    return tuple(identities)
+        sides = identities.get(n - s)
+        if sides is None:
+            sides = identities[n - s] = _recurrence_sides(t, s)
+        lhs, rhs = sides
+        shifts.append(IndexShiftIdentity(shift=s, lhs=lhs, rhs=rhs, holds=lhs == rhs))
+    return tuple(shifts)
 
 
 def check_index_shifts(buffer: SequenceBuffer, n: int) -> tuple[IndexShiftIdentity, ...]:
@@ -150,25 +170,52 @@ def check_index_shifts(buffer: SequenceBuffer, n: int) -> tuple[IndexShiftIdenti
 
     No command calls it; perfbench/trace_cli.py traces it by name.
     """
-    return _shift_identities(_pairwise_products(_window(buffer, n), _PAIRS))
+    return _shift_identities(_window(buffer, n), n, {})
 
 
-def build_certificate(buffer: SequenceBuffer, n: int) -> DivisibilityCertificate:
+def _integral_term(buffer: SequenceBuffer, n: int) -> int | None:
+    """a_n as an int when the buffer holds it and it is integral, else None."""
+    if not buffer.has_range(n, n):
+        return None
+    value = buffer.term(n)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else None
+    return value
+
+
+def build_certificate(
+    buffer: SequenceBuffer, n: int, identities: dict | None = None
+) -> DivisibilityCertificate:
     """Check the facts the certificate at index n rests on.
 
     The shifts, the precondition and the residue are computed here; the
     chain is evaluated when it is first read.  Returns the certificate
     whether or not it is valid, so callers can inspect which fact broke.
+
+    identities, when given, maps an index j to the (lhs, rhs) of the
+    recurrence at j over this same buffer, as certify_range keeps it
+    along a range.  Shift s is read from its entry at n - s, and the
+    shifts it lacks are evaluated and recorded.  Where a_n is an integral
+    term of the buffer, the recurrence at n is evaluated too and recorded
+    for n + 1; where it holds, a_n a_{n-5} equals the numerator exactly,
+    so the residue is 0 without a division.
     """
     t = _window(buffer, n)
     m = t[5]
     if m == 0:
         raise ZeroDenominatorError(n - 5, f"chain modulus a_{n - 5} is zero")
+    if identities is None:
+        identities = {}
 
-    p = _pairwise_products(t, _PAIRS)
-    shifts = _shift_identities(p)
-    precondition_gcd = gcd(m, p[8, 9])
-    numerator_residue = _divmod(p[1, 4] + p[2, 3], m)[1]
+    shifts = _shift_identities(t, n, identities)
+    precondition_gcd = gcd(m, t[8] * t[9])
+    term = _integral_term(buffer, n)
+    if term is None:
+        lhs, numerator = _recurrence_sides(t, 0)  # a_n read as t[0] = 0
+    else:
+        lhs, numerator = identities[n] = _recurrence_sides((term,) + t[1:], 0)
+    # lhs == numerator shows that numerator = a_n * m exactly, so m divides it.
+    numerator_residue = 0 if lhs == numerator else _divmod(numerator, m)[1]
     valid = (
         precondition_gcd == 1
         and all(identity.holds for identity in shifts)
@@ -192,21 +239,22 @@ def _chain_lines(t) -> list:
     drop multiples of m, substitute shifts 1 and 2, drop again, factor,
     and substitute shift 5 to finish at a_{n-3}a_{n-4}a_{n-5}a_{n-10}.
     Dropped multiples are m times a cofactor, and the last line carries m
-    through p[5, 10] = m * t[10].  Only +, - and * are used, so the window
-    may hold integers or polynomial variables alike.
+    through the left-hand side of shift 5, m * t[10].  Only +, - and * are
+    used, so the window may hold integers or polynomial variables alike.
     """
     m = t[5]
-    p = _pairwise_products(t, _CHAIN_PAIRS)
-    rhs = {identity.shift: identity.rhs for identity in _shift_identities(p)}
+    lhs, rhs = zip(*(_recurrence_sides(t, s) for s in range(6)))  # rhs[0]: the numerator
+    multiplier = t[8] * t[9]
+    p18, p29, p78, p49, p34 = t[1] * t[8], t[2] * t[9], t[7] * t[8], t[4] * t[9], t[3] * t[4]
     return [
-        (p[8, 9] * (p[1, 4] + p[2, 3]), None),
-        (p[8, 9] * p[1, 4] + p[8, 9] * p[2, 3], None),
-        (p[1, 8] * rhs[4] + p[2, 9] * rhs[3], None),
-        (p[1, 8] * p[6, 7] + p[2, 9] * p[4, 7], m * (p[1, 8] * t[8] + p[2, 9] * t[6])),
-        (p[7, 8] * rhs[1] + p[4, 9] * rhs[2], None),
-        (p[7, 8] * p[3, 4] + p[4, 9] * p[3, 6], m * (p[7, 8] * t[2] + p[4, 9] * t[4])),
-        (p[3, 4] * rhs[5], None),
-        (p[3, 4] * p[5, 10], None),
+        (multiplier * rhs[0], None),
+        (multiplier * (t[1] * t[4]) + multiplier * (t[2] * t[3]), None),
+        (p18 * rhs[4] + p29 * rhs[3], None),
+        (p18 * (t[6] * t[7]) + p29 * (t[4] * t[7]), m * (p18 * t[8] + p29 * t[6])),
+        (p78 * rhs[1] + p49 * rhs[2], None),
+        (p78 * p34 + p49 * (t[3] * t[6]), m * (p78 * t[2] + p49 * t[4])),
+        (p34 * rhs[5], None),
+        (p34 * lhs[5], None),
     ]
 
 
@@ -250,9 +298,13 @@ def certify_range(
         start = max(CERTIFICATE_START, buffer.start_index + 10)
     if stop is None:
         stop = buffer.next_index
-    return first_failure(
-        "certificate", start, stop, lambda n: _failure_reason(build_certificate(buffer, n))
-    )
+    identities = {}
+
+    def failure_at(n):
+        identities.pop(n - 6, None)  # keeps the recurrences at n - 5 .. n
+        return _failure_reason(build_certificate(buffer, n, identities))
+
+    return first_failure("certificate", start, stop, failure_at)
 
 
 def _failure_reason(certificate: DivisibilityCertificate) -> str | None:

@@ -187,6 +187,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"count must be non-negative, got {args.count}")
     spec = somos5_spec()
     if args.index is not None:
         buffer = generate(spec, max(args.index, spec.order), mode=INTEGER)

@@ -93,7 +93,13 @@ def run_lemma_harness(
 
     gcd_fn exists so tests can inject a broken gcd and watch the
     counterexample counters move; production callers leave the default.
+    Raises ValueError for samples < 0 or bound < 1, where no sample
+    could be drawn.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
+    if bound < 1:
+        raise ValueError(f"bound must be at least 1, got {bound}")
     rng = random.Random(seed)
     results = []
     for lemma in LEMMA_NAMES:
@@ -148,8 +154,7 @@ def verify_coprime_window(
     only offsets whose coprimality is already established, as
     verify_recurrence_and_windows does from the recurrence identity.
     """
-    if depth < 1:
-        raise ValueError(f"depth must be at least 1, got {depth}")
+    _require_depth(depth)
     if not buffer.has_range(n - depth, n):
         raise IndexOutOfRangeError(
             f"window {n - depth}..{n} not covered by buffer "
@@ -192,6 +197,11 @@ def first_failure(check: str, start: int, stop: int, failure_at) -> Verification
     return VerificationReport(check, start, stop, stop - start, True)
 
 
+def _require_depth(depth: int) -> None:
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
+
+
 def window_start(start_index: int, depth: int) -> int:
     """First index whose depth predecessors lie in a buffer starting at start_index."""
     return max(depth, start_index + depth)
@@ -206,8 +216,10 @@ def verify_coprime_range(
     """Run coprime windows for every n in [start, stop); default full coverage.
 
     Every window computes its depth gcds, and the first failing one ends
-    the range.
+    the range.  A depth below 1 raises ValueError before any window,
+    even over an empty range.
     """
+    _require_depth(depth)
     if start is None:
         start = window_start(buffer.start_index, depth)
     if stop is None:
@@ -269,6 +281,10 @@ def verify_recurrence_and_windows(
     window of the range on, and offsets from 5 on are always computed.
     Somos-6 and Somos-7 have no qualifying offset, since each offset
     misses at least two of their summands.
+
+    A depth below 1 is refused before the first window, so even a range
+    with no window raises ValueError, unless a violation outranks it as
+    it outranks any raised error.
     """
     reach = _derivable_offsets(spec, depth)
     lo = max(buffer.start_index + spec.order, spec.order)
@@ -280,6 +296,7 @@ def verify_recurrence_and_windows(
         return _window_reason(verify_coprime_window(buffer, n, depth, proven))
 
     try:
+        _require_depth(depth)
         windows = first_failure("coprime-window", start, stop, window_failure)
     except (ValueError, SomosError) as exc:
         windows = exc

@@ -8,10 +8,13 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import somos.certificate
 from somos import (
     CERTIFICATE_START,
+    RATIONAL,
     IndexOutOfRangeError,
     SequenceBuffer,
+    SomosError,
     ZeroDenominatorError,
     build_certificate,
     certify_range,
@@ -20,15 +23,10 @@ from somos import (
     gcd,
     generate,
     somos5_spec,
+    somos_k_spec,
 )
-
-from somos.certificate import (
-    _PAIRS,
-    _chain_lines,
-    _failure_reason,
-    _pairwise_products,
-    _shift_identities,
-)
+from somos.coprime import first_failure
+from somos.certificate import _chain_lines, _failure_reason, _recurrence_sides
 
 from helpers import SOMOS_SUMMANDS, certificate_oracle, first_fractional_index, fraction_terms
 
@@ -314,8 +312,11 @@ class TestChainFollowsFromTheShifts:
 
     def test_shift_identities_are_the_shift_gaps(self):
         t = variables()
-        for identity in _shift_identities(_pairwise_products(t, _PAIRS)):
-            assert identity.lhs - identity.rhs == shift_gap(t, identity.shift)
+        for s in range(1, 6):
+            lhs, rhs = _recurrence_sides(t, s)
+            assert lhs - rhs == shift_gap(t, s)
+        # At shift 0 the stored window's t[0] = 0: only the numerator is left.
+        assert _recurrence_sides(t, 0) == (0, t[1] * t[4] + t[2] * t[3])
 
     def test_dropped_multiples_and_last_line_carry_t5(self):
         lines = _chain_lines(variables())
@@ -423,6 +424,139 @@ class TestCertifyRange:
         assert (report.passed, report.first_failure_index) == (False, 605)
         assert report.first_failure_reason == f"precondition gcd = {shared}"
         assert reason == f"numerator residue {residue} != 0"
+
+
+def outcome(run):
+    """The report of run() as a tuple, or the type, text and index of what it raised."""
+    try:
+        return astuple(run())
+    except (ValueError, SomosError) as exc:
+        return type(exc), str(exc), getattr(exc, "index", None)
+
+
+def oracle_values(buffer):
+    """The buffer's terms by index, as certificate_oracle reads them: integral ones as ints."""
+    return {n: v.numerator if getattr(v, "denominator", 1) == 1 else v for n, v in buffer.items()}
+
+
+class TestRangeSharesIdentities:
+    """certify_range, which shares each recurrence identity along the range
+    and takes the residue from the identity at n, builds the certificates
+    that standalone build_certificate calls build, and reports what their
+    walk reports."""
+
+    @staticmethod
+    def check(buffer, start, stop, monkeypatch):
+        calls, built, held = [], [], []
+        build = somos.certificate.build_certificate
+
+        def capture(buffer, n, identities=None):
+            calls.append(n)
+            built.append(build(buffer, n, identities))
+            held.append(len(identities))
+            return built[-1]
+
+        monkeypatch.setattr(somos.certificate, "build_certificate", capture)
+        ranged = outcome(lambda: certify_range(buffer, start, stop))
+        monkeypatch.undo()
+
+        alone = []
+
+        def failure_at(n):
+            alone.append(build_certificate(buffer, n))
+            return _failure_reason(alone[-1])
+
+        expected = outcome(lambda: first_failure("certificate", start, stop, failure_at))
+        assert ranged == expected
+        assert built == alone
+        assert calls[: len(built)] == [c.index for c in built]
+        assert max(held, default=0) <= 6
+        values = oracle_values(buffer)
+        for certificate in built:
+            assert oracle_layout(certificate) == certificate_oracle(values, certificate.index)
+        return ranged, built
+
+    def test_clean_range(self, somos5_buffer, monkeypatch):
+        ranged, built = self.check(somos5_buffer(450), 10, 450, monkeypatch)
+        assert ranged[3:5] == (440, True) and len(built) == 440
+
+    @pytest.mark.parametrize("kind", ["plus-one", "negated", "zeroed"])
+    @pytest.mark.parametrize("where", [12, 25, 33, 59])
+    def test_one_corrupted_term(self, somos5_values, monkeypatch, kind, where):
+        values = list(somos5_values[:60])
+        values[where] = {"plus-one": values[where] + 1, "negated": -values[where], "zeroed": 0}[kind]
+        for start in (10, where - 3, where + 1, where + 5):
+            self.check(SequenceBuffer(values), max(start, 10), 60, monkeypatch)
+
+    def test_zero_modulus_raises_at_the_same_index(self, somos5_values, monkeypatch):
+        values = list(somos5_values[:60])
+        values[40] = 0
+        ranged, built = self.check(SequenceBuffer(values), 45, 60, monkeypatch)
+        assert ranged[0] is ZeroDenominatorError and ranged[2] == 40 and built == []
+
+    @pytest.mark.parametrize("kind", ["clean", "plus-one", "negated", "zeroed"])
+    def test_range_starting_past_10(self, somos5_values, monkeypatch, kind):
+        values = list(somos5_values[:450])
+        if kind != "clean":
+            values[440] = {"plus-one": values[440] + 1, "negated": -values[440], "zeroed": 0}[kind]
+        ranged, _ = self.check(SequenceBuffer(values), 430, 450, monkeypatch)
+        assert (kind == "clean") == (ranged[4] is True)
+
+    def test_offset_buffer(self, somos5_values, monkeypatch):
+        buffer = SequenceBuffer(list(somos5_values[37:120]), start_index=37)
+        ranged, _ = self.check(buffer, 47, 120, monkeypatch)
+        assert ranged[3:5] == (73, True)
+
+    def test_rational_somos5_buffer(self, monkeypatch):
+        buffer = generate(somos5_spec(), 120, mode=RATIONAL)
+        ranged, built = self.check(buffer, 10, 120, monkeypatch)
+        assert ranged[3:5] == (110, True)
+        assert built == [build_certificate(generate(somos5_spec(), 120), n) for n in range(10, 120)]
+
+    def test_rational_somos8_with_a_fractional_term(self, monkeypatch):
+        oracle = fraction_terms(8, SOMOS_SUMMANDS[8], 40)
+        failing = first_fractional_index(oracle)
+        buffer = generate(somos_k_spec(8), failing + 3, mode=RATIONAL)
+        assert buffer.term(failing).denominator != 1
+        prefix = SequenceBuffer([int(v) for v in oracle[:failing]])
+        ranged, built = self.check(buffer, failing, failing + 1, monkeypatch)
+        assert ranged[3] == 1 and built == [build_certificate(prefix, failing)]
+        # Past it, the window holds the fraction, and both routes raise there.
+        ranged, built = self.check(buffer, failing + 1, failing + 3, monkeypatch)
+        assert ranged[0] is ValueError and built == []
+        self.check(buffer, 10, failing + 1, monkeypatch)
+
+    def test_each_identity_is_evaluated_once_without_a_division(self, somos5_buffer, monkeypatch):
+        calls = []
+        sides = somos.certificate._recurrence_sides
+
+        def count(t, s):
+            calls.append(s)
+            return sides(t, s)
+
+        def refuse(a, b):
+            raise AssertionError("residue divided")
+
+        monkeypatch.setattr(somos.certificate, "_recurrence_sides", count)
+        monkeypatch.setattr(somos.certificate, "_divmod", refuse)
+        report = certify_range(somos5_buffer(450), 10, 450)
+        assert (report.passed, report.checked) == (True, 440)
+        # The first certificate's five shifts, then the identity at each n.
+        assert calls == [5, 4, 3, 2, 1] + [0] * 440
+
+    def test_at_index_past_the_buffer_the_residue_is_divided(self, somos5_buffer, monkeypatch):
+        divisions = []
+        divide = somos.certificate._divmod
+
+        def count(a, b):
+            divisions.append(b)
+            return divide(a, b)
+
+        monkeypatch.setattr(somos.certificate, "_divmod", count)
+        buffer = somos5_buffer(60)
+        inside, past = build_certificate(buffer, 59), build_certificate(buffer, 60)
+        assert (inside.valid, past.valid) == (True, True)
+        assert divisions == [past.modulus]
 
 
 class TestCancellationFact:

@@ -94,6 +94,23 @@ class TestVerify:
         assert "note:" in captured.err
         assert "first failure" in captured.out
 
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            (None, ["--count", "30", "--depth", "0"]),
+            ("tail", ["--count", "30", "--depth", "0"]),
+            ("empty", ["--depth", "-2"]),
+        ],
+        ids=["generated", "tail-30", "empty"],
+    )
+    def test_depth_below_one_is_a_usage_error(self, tmp_path, capsys, name, argv):
+        # On "tail" with --count 30 no window runs, and depth 0 used to pass.
+        source = [] if name is None else ["--input", TestCrosscheck._write_input(tmp_path, name)]
+        depth = argv[argv.index("--depth") + 1]
+        assert main(["verify"] + source + argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: depth must be at least 1, got {depth}\n")
+
     def test_missing_input_file_is_usage_error(self, tmp_path, capsys):
         assert main(["verify", "--input", str(tmp_path / "absent.txt")]) == 2
 
@@ -244,6 +261,13 @@ class TestCertify:
                 "certificate over n in [3, 3): 0 checked, pass\n"
             )
 
+    @pytest.mark.parametrize("argv", [["--count", "-5"], ["--count", "-1", "--format", "json"]])
+    def test_negative_count_is_a_usage_error(self, capsys, argv):
+        assert main(["certify"] + argv) == 2
+        captured = capsys.readouterr()
+        count = argv[1]
+        assert (captured.out, captured.err) == ("", f"error: count must be non-negative, got {count}\n")
+
     def test_single_index_json(self, capsys):
         assert main(["certify", "--index", "10", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -276,6 +300,18 @@ class TestLemmas:
 
     def test_zero_samples_vacuous(self, capsys):
         assert main(["lemmas", "--samples", "0"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--samples", "-1"], "samples must be non-negative, got -1"),
+            (["--bound", "0"], "bound must be at least 1, got 0"),
+        ],
+    )
+    def test_no_sample_can_be_drawn_is_a_usage_error(self, capsys, argv, message):
+        assert main(["lemmas"] + argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
     def test_json_format(self, capsys):
         assert main(["lemmas", "--samples", "100", "--format", "json"]) == 0

@@ -132,6 +132,23 @@ class TestLemmaHarness:
         assert report.passed
         assert all(r.samples == 0 for r in report.results)
 
+    @pytest.mark.parametrize(
+        "samples, bound, message",
+        [
+            (-1, 10, "samples must be non-negative, got -1"),
+            (10, 0, "bound must be at least 1, got 0"),
+            (0, -3, "bound must be at least 1, got -3"),
+        ],
+    )
+    def test_no_sample_can_be_drawn(self, samples, bound, message):
+        with pytest.raises(ValueError) as excinfo:
+            run_lemma_harness(seed=0, samples=samples, bound=bound)
+        assert str(excinfo.value) == message
+
+    def test_bound_one_draws_ones(self):
+        report = run_lemma_harness(seed=0, samples=5, bound=1)
+        assert report.passed and all(r.samples == 5 for r in report.results)
+
     def test_faulty_gcd_is_caught(self):
         def faulty(a, b):
             # pretends everything past the sample bound is coprime
@@ -202,6 +219,15 @@ class TestVerifyRange:
     def test_explicit_bounds(self, somos5_buffer):
         report = verify_coprime_range(somos5_buffer(100), depth=2, start=10, stop=20)
         assert report.passed and report.checked == 10
+
+    @pytest.mark.parametrize("depth", [0, -2])
+    def test_depth_is_checked_before_the_walk(self, somos5_buffer, depth):
+        # Neither range holds a window, so only an up-front check can refuse the depth.
+        buffer = somos5_buffer(30)
+        with pytest.raises(ValueError, match=f"depth must be at least 1, got {depth}"):
+            verify_coprime_range(buffer, depth, start=30, stop=30)
+        with pytest.raises(ValueError, match=f"depth must be at least 1, got {depth}"):
+            verify_recurrence_and_windows(SequenceBuffer([], start_index=50), somos5_spec(), depth)
 
     def test_start_past_stop_is_clamped(self, somos5_buffer):
         report = verify_coprime_range(somos5_buffer(6), depth=10)
