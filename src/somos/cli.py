@@ -23,7 +23,7 @@ from .coprime import (
     verify_recurrence_and_windows,
     window_start,
 )
-from .engine import INTEGER, RATIONAL, generate, somos5_spec
+from .engine import INTEGER, RATIONAL, SequenceBuffer, generate, somos5_spec
 from .errors import NonIntegralTermError, SomosError
 from .formats import (
     buffer_from_bfile,
@@ -165,20 +165,26 @@ def cmd_generate(args) -> int:
 def cmd_verify(args) -> int:
     spec = somos_k_spec(args.k)
     _scope_note(spec)
+    identity_holds = None  # a b-file's identities are evaluated in full
     if args.input:
         with open(args.input, "r", encoding="utf-8") as handle:
             bfile = parse_bfile(handle.read())
         buffer = buffer_from_bfile(bfile, args.count)
         first = bfile.start_index  # the buffer starts at count when the file starts past it
     else:
+        if args.count < 0:
+            raise ValueError(f"count must be non-negative, got {args.count}")
+        identity_holds = {}  # each generated identity, as the engine checked it
         try:
-            buffer = generate(spec, args.count, mode=INTEGER)
+            buffer = generate(spec, max(args.count, spec.order), INTEGER, identity_holds)
         except NonIntegralTermError as exc:
             _print_event(exc.event)
             return EXIT_CHECK_FAILED
+        if args.count < spec.order:
+            buffer = SequenceBuffer(buffer.values()[: args.count])
         first = buffer.start_index
 
-    report = verify_recurrence_and_windows(buffer, spec, depth=args.depth)
+    report = verify_recurrence_and_windows(buffer, spec, args.depth, identity_holds)
     if report.checked == 0 and args.format == "text":
         start = window_start(first, args.depth)
         print(f"note: range below coprime window start (n = {start}); zero windows")
@@ -226,6 +232,8 @@ def cmd_lemmas(args) -> int:
 
 def cmd_scan(args) -> int:
     spec = somos_k_spec(args.k)
+    if args.count < spec.order:
+        raise ValueError(f"--count must be at least the order {spec.order}, got {args.count}")
     if args.depth == 0:
         report = scan_integrality(spec, args.count)
     else:

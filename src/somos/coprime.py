@@ -232,20 +232,28 @@ def verify_coprime_range(
 
 
 def verify_recurrence_and_windows(
-    buffer: SequenceBuffer, spec: SequenceSpec, depth: int = 4
+    buffer: SequenceBuffer,
+    spec: SequenceSpec,
+    depth: int = 4,
+    identity_holds: dict[int, bool] | None = None,
 ) -> VerificationReport:
     """Check the coprime windows and the recurrence identity of a whole buffer.
 
     First the windows run over the range verify_coprime_range covers by
     default, deriving some offsets from the identity (below) instead of
     computing their gcds; what a window raises is kept.  Then
-    first_recurrence_violation evaluates the identity a_n a_{n-k} = sum
-    of a_{n-i} a_{n-j} once, exactly, at every n in [max(start_index + k,
-    k), next_index), on integral and rational terms alike.  A violation
-    is reported as a "recurrence-identity" failure, in preference to any
-    coprime failure or raised error, an earlier one included.  Without a
-    violation, what a window raised is raised, and otherwise the result
-    is exactly that of verify_coprime_range(buffer, depth).
+    first_recurrence_violation checks the identity a_n a_{n-k} = sum of
+    a_{n-i} a_{n-j} once, exactly, at every n in [max(start_index + k,
+    k), next_index), on integral and rational terms alike.  It is given
+    identity_holds: on a buffer from generate, the facts next_term
+    recorded as it stepped (one fresh product of each appended term
+    with its divisor, against the sum it divided) are read, not
+    evaluated again; without them, as for a b-file, every index is
+    evaluated.  A violation is reported as a "recurrence-identity"
+    failure, in preference to any coprime failure or raised error, an
+    earlier one included.  Without a violation, what a window raised is
+    raised, and otherwise the result is exactly that of
+    verify_coprime_range(buffer, depth).
 
     A window at n derives gcd(a_n, a_{n-o}) = 1 for an offset o from
     the identity at n, by this argument.  Let o < k, let (i, j) be the
@@ -260,7 +268,7 @@ def verify_recurrence_and_windows(
     no such p exists.  Zero is divisible by every prime, so the argument
     covers zero terms too.
 
-    The windows derive before the identity is evaluated, assuming it
+    The windows derive before the identity is checked, assuming it
     holds at every n >= max(start_index + k, k).  An unsound derivation
     can never reach a report: where the assumption is false, the
     identity pass finds the violation and its report replaces whatever
@@ -300,9 +308,9 @@ def verify_recurrence_and_windows(
         windows = first_failure("coprime-window", start, stop, window_failure)
     except (ValueError, SomosError) as exc:
         windows = exc
-    violation = first_recurrence_violation(buffer, spec)
+    violation = first_recurrence_violation(buffer, spec, identity_holds)
     if violation is not None:
-        # The walk over [lo, violation] only counts: each identity was evaluated once, above.
+        # The walk over [lo, violation] only counts: each identity was checked once, above.
         return first_failure(
             "recurrence-identity",
             lo,

@@ -162,7 +162,12 @@ def new_state(spec: SequenceSpec) -> SequenceBuffer:
     return SequenceBuffer(spec.initials, start_index=0)
 
 
-def next_term(buffer: SequenceBuffer, spec: SequenceSpec, mode: str = INTEGER):
+def next_term(
+    buffer: SequenceBuffer,
+    spec: SequenceSpec,
+    mode: str = INTEGER,
+    identity_holds: dict[int, bool] | None = None,
+):
     """Compute the term at buffer.next_index and append it.
 
     Integer mode returns the new term when the division is exact; on a
@@ -174,6 +179,15 @@ def next_term(buffer: SequenceBuffer, spec: SequenceSpec, mode: str = INTEGER):
     integral (int, or Fraction with denominator 1): one divmod of the
     integer numerator decides exactness.  A rational window holding a
     non-integral fraction goes to _fractional_step.
+
+    When the caller passes a dict as identity_holds and the step appends
+    a term a_n from an integral window, the step records
+    identity_holds[n] = (a_n * a_{n-k} == numerator), where numerator is
+    the bilinear sum it has just formed: the recurrence identity at n,
+    exactly as _identity evaluates it on this buffer.  The product is a
+    fresh builtin multiplication of the appended term, so the record
+    does not trust _divmod: a wrong quotient with a zero remainder
+    records False at its index.  Fractional windows record nothing.
     """
     if mode not in (INTEGER, RATIONAL):
         raise ValueError(f"unknown mode {mode!r}")
@@ -200,12 +214,14 @@ def next_term(buffer: SequenceBuffer, spec: SequenceSpec, mode: str = INTEGER):
         quotient, remainder = _divmod(numerator, abs(denominator))
         if not remainder:
             value = quotient if denominator > 0 else -quotient
-            if mode == RATIONAL:
-                value = Fraction(value)
         elif mode == RATIONAL:
             value = Fraction(numerator, denominator)
         else:
             return NonIntegralEvent(n, numerator, denominator, remainder)
+        if identity_holds is not None:
+            identity_holds[n] = value * denominator == numerator
+        if mode == RATIONAL and not remainder:
+            value = Fraction(value)
     buffer.append(value)
     return value
 
@@ -326,19 +342,24 @@ def _div3n2n(
     return q, r
 
 
-def generate(spec: SequenceSpec, count: int, mode: str = INTEGER) -> SequenceBuffer:
+def generate(
+    spec: SequenceSpec,
+    count: int,
+    mode: str = INTEGER,
+    identity_holds: dict[int, bool] | None = None,
+) -> SequenceBuffer:
     """Generate terms at indices 0..count-1.
 
     In integer mode the first non-exact division aborts the run by
     raising NonIntegralTermError, which carries the witness event and
-    the partial buffer.
+    the partial buffer.  identity_holds is passed to every next_term.
     """
     spec.validate()
     if count < spec.order:
         raise ValueError(f"count must be at least the order {spec.order}, got {count}")
     buffer = new_state(spec)
     while buffer.next_index < count:
-        result = next_term(buffer, spec, mode)
+        result = next_term(buffer, spec, mode, identity_holds=identity_holds)
         if isinstance(result, NonIntegralEvent):
             raise NonIntegralTermError(result, buffer)
     return buffer
@@ -373,16 +394,26 @@ def digit_count(value) -> int:
     return estimate + 1
 
 
-def first_recurrence_violation(buffer: SequenceBuffer, spec: SequenceSpec):
-    """Re-verify a_n * a_{n-k} == bilinear sum over every covered index.
+def first_recurrence_violation(
+    buffer: SequenceBuffer, spec: SequenceSpec, identity_holds: dict[int, bool] | None = None
+):
+    """Check a_n * a_{n-k} == bilinear sum over every covered index.
 
     Returns the first index where the identity fails, or None.  Works on
-    integer and rational buffers alike.
+    integer and rational buffers alike.  At an index that identity_holds
+    records, the recorded fact is read; every other index is evaluated
+    by _identity.  The record must come from next_term appending those
+    very terms to this buffer (generate(..., identity_holds=d) does);
+    a buffer read from a file passes no record and is evaluated in full.
     """
     k = spec.order
     lo = max(buffer.start_index + k, k)
+    recorded = identity_holds or {}
     for n in range(lo, buffer.next_index):
-        if not _identity(buffer, spec, n):
+        holds = recorded.get(n)
+        if holds is None:
+            holds = _identity(buffer, spec, n)
+        if not holds:
             return n
     return None
 

@@ -128,6 +128,27 @@ class TestVerify:
                 "coprime-window over n in [6, 6): 0 checked, pass\n"
             )
 
+    @pytest.mark.parametrize("count", ["0", "3", "4", "5"])
+    @pytest.mark.parametrize("extra", [[], ["--depth", "1"], ["--format", "json"]])
+    def test_count_below_the_order_matches_the_fixture(self, capsys, count, extra):
+        # Generated input covers n < count as the fixture does, even below the order.
+        outputs = []
+        for source in ([], ["--input", str(FIXTURE)]):
+            assert main(["verify", "--count", count] + source + extra) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        if not extra and count != "5":
+            assert outputs[0] == (
+                "note: range below coprime window start (n = 4); zero windows\n"
+                f"coprime-window over n in [{count}, {count}): 0 checked, pass\n"
+            )
+
+    @pytest.mark.parametrize("count", ["-1", "-5"])
+    def test_negative_count_is_a_usage_error(self, capsys, count):
+        assert main(["verify", "--count", count]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: count must be non-negative, got {count}\n")
+
     @pytest.mark.parametrize(
         "argv, code, digest",
         [
@@ -342,6 +363,15 @@ class TestScan:
         assert main(["scan", "--k", "5", "--count", "50", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["kind"] == "breakdown_report"
+
+    @pytest.mark.parametrize("count, k", [("3", "5"), ("-1", "5"), ("6", "7")])
+    def test_count_below_the_order_names_the_flag(self, capsys, count, k):
+        assert main(["scan", "--k", k, "--count", count]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "",
+            f"error: --count must be at least the order {k}, got {count}\n",
+        )
 
 
 class TestCrosscheck:

@@ -36,6 +36,8 @@ from somos import (
     verify_recurrence_and_windows,
 )
 
+from somos.cli import main
+
 from helpers import SOMOS_SUMMANDS
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "b006721.txt"
@@ -439,12 +441,56 @@ class TestOnePassVerify:
             assert report == two_stage_verify(buffer, spec, depth)
             assert (report.check, report.first_failure_index) == ("recurrence-identity", 27)
 
-    def test_one_identity_evaluation_per_index(self, somos5_buffer, monkeypatch):
+    @staticmethod
+    def _evaluated_identities(monkeypatch):
+        # The indices engine._identity is called at, in order.
         evaluated = []
         identity = somos.engine._identity
         monkeypatch.setattr(
             somos.engine, "_identity", lambda b, s, n: evaluated.append(n) or identity(b, s, n)
         )
+        return evaluated
+
+    def test_one_identity_evaluation_per_index(self, somos5_buffer, monkeypatch):
+        evaluated = self._evaluated_identities(monkeypatch)
         report = verify_recurrence_and_windows(somos5_buffer(300), somos5_spec())
         assert report.passed and report.checked == 296
         assert evaluated == list(range(5, 300))
+
+    def test_generated_verify_evaluates_no_identity(self, monkeypatch, capsys):
+        evaluated = self._evaluated_identities(monkeypatch)
+        assert main(["verify", "--count", "300"]) == 0
+        assert capsys.readouterr().out == "coprime-window over n in [4, 300): 296 checked, pass\n"
+        assert evaluated == []
+
+    @staticmethod
+    def _wrong_last_quotient(monkeypatch, steps):
+        # The step's divmod, off by one with a zero remainder at the last of steps calls.
+        calls = []
+        divmod_ = somos.engine._divmod
+
+        def wrong(a, b):
+            calls.append(None)
+            quotient, remainder = divmod_(a, b)
+            return (quotient + 1, 0) if len(calls) == steps else (quotient, remainder)
+
+        monkeypatch.setattr(somos.engine, "_divmod", wrong)
+
+    def test_a_wrong_quotient_fails_the_recorded_identity(self, monkeypatch):
+        spec = somos5_spec()
+        identity_holds = {}
+        self._wrong_last_quotient(monkeypatch, 300 - 5)
+        buffer = generate(spec, 300, identity_holds=identity_holds)
+        monkeypatch.undo()
+        assert [n for n, holds in identity_holds.items() if not holds] == [299]
+        report = verify_recurrence_and_windows(buffer, spec, identity_holds=identity_holds)
+        assert (report.check, report.first_failure_index) == ("recurrence-identity", 299)
+        assert report == verify_recurrence_and_windows(buffer, spec)
+
+    def test_verify_exits_1_on_a_wrong_quotient(self, monkeypatch, capsys):
+        self._wrong_last_quotient(monkeypatch, 300 - 5)
+        assert main(["verify", "--count", "300"]) == 1
+        assert capsys.readouterr().out == (
+            "recurrence-identity over n in [5, 300): 295 checked, FAIL; "
+            "first failure at n = 299 (a_n * a_{n-k} != bilinear sum)\n"
+        )

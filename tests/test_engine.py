@@ -31,7 +31,7 @@ from somos import (
     somos_k_spec,
 )
 from somos.cli import main
-from somos.engine import _DIV_LIMIT, _divmod, _fractional_step
+from somos.engine import _DIV_LIMIT, _divmod, _fractional_step, _identity
 from somos.errors import int_text
 
 from helpers import SOMOS_SUMMANDS, first_fractional_index, fraction_terms
@@ -417,6 +417,41 @@ class TestRecurrenceRecheck:
     def test_partial_buffer_checked_from_first_covered_index(self, somos5_values):
         buffer = SequenceBuffer(list(somos5_values[3:40]), start_index=3)
         assert first_recurrence_violation(buffer, somos5_spec()) is None
+
+    @pytest.mark.parametrize("k", [4, 5, 6, 7])
+    def test_generate_records_every_identity(self, k):
+        spec = somos_k_spec(k)
+        identity_holds = {}
+        buffer = generate(spec, 300, INTEGER, identity_holds)
+        assert sorted(identity_holds) == list(range(k, 300))
+        for n, holds in identity_holds.items():
+            assert holds == _identity(buffer, spec, n)
+
+    def test_rational_steps_record_only_integral_windows(self):
+        spec = somos_k_spec(8)
+        identity_holds = {}
+        buffer = generate(spec, 30, RATIONAL, identity_holds)
+        integral = [
+            n
+            for n in range(8, 30)
+            if all(buffer.term(n - i).denominator == 1 for i in range(1, 9))
+        ]
+        assert integral != list(range(8, 30))  # some windows hold fractions
+        assert sorted(identity_holds) == integral
+        for n, holds in identity_holds.items():
+            assert holds is True and _identity(buffer, spec, n)
+
+    def test_recorded_facts_are_read_and_the_rest_evaluated(self, somos5_values):
+        spec = somos5_spec()
+        clean = SequenceBuffer(list(somos5_values[:50]))
+        assert first_recurrence_violation(clean, spec, {30: False}) == 30
+        values = list(somos5_values[:50])
+        values[45] += 1
+        corrupted = SequenceBuffer(values)
+        # a_45 enters the identities at n = 45..49; those up to 46 read True.
+        recorded = {n: True for n in range(5, 47)}
+        assert first_recurrence_violation(corrupted, spec, recorded) == 47
+        assert first_recurrence_violation(corrupted, spec, {}) == 45
 
 
 class TestDigitCount:
