@@ -55,8 +55,6 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .formats import (
-    BFile,
-    buffer_from_bfile,
     emit_bfile,
     emit_report_json,
     emit_terms_json,
@@ -73,7 +71,6 @@ from .scanner import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BFile",
     "BreakdownReport",
     "CERTIFICATE_START",
     "ChainStep",
@@ -97,7 +94,6 @@ __all__ = [
     "VerificationReport",
     "ZeroDenominatorError",
     "as_integer",
-    "buffer_from_bfile",
     "build_certificate",
     "certify_range",
     "check_index_shifts",

@@ -56,8 +56,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
-from .coprime import VerificationReport, first_failure, gcd
+from .coprime import VerificationReport, first_failure
 from .engine import SequenceBuffer, _divmod, as_integer
 from .errors import IndexOutOfRangeError, ZeroDenominatorError
 

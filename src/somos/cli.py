@@ -23,10 +23,9 @@ from .coprime import (
     verify_recurrence_and_windows,
     window_start,
 )
-from .engine import INTEGER, RATIONAL, SequenceBuffer, generate, somos5_spec
+from .engine import INTEGER, RATIONAL, generate, somos5_spec
 from .errors import NonIntegralTermError, SomosError
 from .formats import (
-    buffer_from_bfile,
     emit_bfile,
     emit_report_json,
     emit_terms_json,
@@ -168,20 +167,16 @@ def cmd_verify(args) -> int:
     identity_holds = None  # a b-file's identities are evaluated in full
     if args.input:
         with open(args.input, "r", encoding="utf-8") as handle:
-            bfile = parse_bfile(handle.read())
-        buffer = buffer_from_bfile(bfile, args.count)
-        first = bfile.start_index  # the buffer starts at count when the file starts past it
+            parsed = parse_bfile(handle.read())
+        buffer = parsed.below(args.count)
+        first = parsed.start_index  # the buffer starts at count when the file starts past it
     else:
-        if args.count < 0:
-            raise ValueError(f"count must be non-negative, got {args.count}")
         identity_holds = {}  # each generated identity, as the engine checked it
         try:
-            buffer = generate(spec, max(args.count, spec.order), INTEGER, identity_holds)
+            buffer = generate(spec, args.count, INTEGER, identity_holds)
         except NonIntegralTermError as exc:
             _print_event(exc.event)
             return EXIT_CHECK_FAILED
-        if args.count < spec.order:
-            buffer = SequenceBuffer(buffer.values()[: args.count])
         first = buffer.start_index
 
     report = verify_recurrence_and_windows(buffer, spec, args.depth, identity_holds)
@@ -197,7 +192,7 @@ def cmd_certify(args) -> int:
         raise ValueError(f"count must be non-negative, got {args.count}")
     spec = somos5_spec()
     if args.index is not None:
-        buffer = generate(spec, max(args.index, spec.order), mode=INTEGER)
+        buffer = generate(spec, max(args.index, 0), mode=INTEGER)  # n < 10: build_certificate's error
         certificate = build_certificate(buffer, args.index)
         if args.format == "json":
             print(emit_report_json(certificate))
@@ -210,7 +205,7 @@ def cmd_certify(args) -> int:
             )
         return EXIT_OK if certificate.valid else EXIT_CHECK_FAILED
 
-    buffer = generate(spec, max(args.count, spec.order), mode=INTEGER)
+    buffer = generate(spec, args.count, mode=INTEGER)
     report = certify_range(buffer, CERTIFICATE_START, args.count)
     if report.checked == 0 and args.format == "text":
         print(f"note: range below certificate start (n = {CERTIFICATE_START}); zero certificates")
@@ -261,15 +256,15 @@ def cmd_scan(args) -> int:
 
 def cmd_crosscheck(args) -> int:
     with open(args.input, "r", encoding="utf-8") as handle:
-        bfile = parse_bfile(handle.read())
-    fixture = buffer_from_bfile(bfile, args.count)
-    if not bfile.entries:
+        parsed = parse_bfile(handle.read())
+    fixture = parsed.below(args.count)
+    if not len(parsed):
         print("fixture is empty; nothing to compare")
         return EXIT_OK
     spec = somos_k_spec(args.k)
     stop = fixture.next_index
     try:
-        buffer = generate(spec, max(stop, spec.order), mode=INTEGER)
+        buffer = generate(spec, max(stop, 0), mode=INTEGER)  # stop < 0: an empty range
     except NonIntegralTermError as exc:
         _print_event(exc.event)
         return EXIT_CHECK_FAILED

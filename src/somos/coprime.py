@@ -1,4 +1,4 @@
-"""Gcd toolkit, executable coprimality facts, and the predecessor-window verifier.
+"""Executable coprimality facts and the predecessor-window verifier.
 
 The three gcd facts checked here (and the modular cancellation fact in
 the same harness) are proven, so any sampled counterexample signals an
@@ -13,9 +13,9 @@ implementation bug rather than new mathematics:
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
+from math import gcd
 
 from .engine import SequenceBuffer, SequenceSpec, as_integer, first_recurrence_violation
 from .errors import IndexOutOfRangeError, SomosError
@@ -24,14 +24,6 @@ LEMMA_NAMES = ("product", "pairwise", "shift", "cancellation")
 
 DEFAULT_SAMPLES = 10_000
 DEFAULT_BOUND = 10**6
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor, always nonnegative.
-
-    gcd(0, b) == |b| and gcd(0, 0) == 0; negative inputs are allowed.
-    """
-    return math.gcd(a, b)
 
 
 def check_lemma_product(a: int, x: int, y: int, gcd_fn=gcd) -> bool:

@@ -147,6 +147,19 @@ class SequenceBuffer:
     def values(self) -> list[Term]:
         return list(self._terms)
 
+    def below(self, count: int | None) -> SequenceBuffer:
+        """The terms at indices n < count, starting at min(start_index, count).
+
+        A buffer that starts past count gives an empty buffer at count;
+        count None bounds nothing and returns this buffer, and a negative
+        count raises ValueError.
+        """
+        if count is None:
+            return self
+        if count < 0:
+            raise ValueError(f"count must be non-negative, got {count}")
+        return SequenceBuffer(self._terms[: max(count - self._start, 0)], min(self._start, count))
+
     def __repr__(self) -> str:
         return f"SequenceBuffer(start_index={self._start}, len={len(self._terms)})"
 
@@ -348,16 +361,15 @@ def generate(
     mode: str = INTEGER,
     identity_holds: dict[int, bool] | None = None,
 ) -> SequenceBuffer:
-    """Generate terms at indices 0..count-1.
+    """Generate terms at indices 0..count-1, for any count >= 0.
 
-    In integer mode the first non-exact division aborts the run by
-    raising NonIntegralTermError, which carries the witness event and
-    the partial buffer.  identity_holds is passed to every next_term.
+    A count below the order gives the first count initials, and a
+    negative count raises ValueError.  In integer mode the first
+    non-exact division aborts the run by raising NonIntegralTermError,
+    which carries the witness event and the partial buffer.
+    identity_holds is passed to every next_term.
     """
-    spec.validate()
-    if count < spec.order:
-        raise ValueError(f"count must be at least the order {spec.order}, got {count}")
-    buffer = new_state(spec)
+    buffer = new_state(spec).below(count)
     while buffer.next_index < count:
         result = next_term(buffer, spec, mode, identity_holds=identity_holds)
         if isinstance(result, NonIntegralEvent):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .certificate import DivisibilityCertificate
@@ -124,31 +123,13 @@ def _digits_to_int(digits: str) -> int:
     return convert(0, len(digits))
 
 
-@dataclass(frozen=True)
-class BFile:
-    """Ordered (index, value) pairs with indices increasing by exactly 1."""
+def parse_bfile(text: str) -> SequenceBuffer:
+    """Parse OEIS b-file text: '<index> <value>' lines, '#' comments, blanks.
 
-    entries: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "entries", tuple((int(i), int(v)) for i, v in self.entries)
-        )
-        for (prev_index, _), (index, _) in zip(self.entries, self.entries[1:]):
-            if index != prev_index + 1:
-                raise ValueError(
-                    f"entry indices must increase by 1 ({prev_index} then {index})"
-                )
-
-    @property
-    def start_index(self) -> int:
-        """Index of the first entry; 0 for an empty file."""
-        return self.entries[0][0] if self.entries else 0
-
-
-def parse_bfile(text: str) -> BFile:
-    """Parse OEIS b-file text: '<index> <value>' lines, '#' comments, blanks."""
-    entries = []
+    The buffer starts at the first line's index, or at 0 for a file with
+    no entry; indices must increase by exactly 1 from line to line.
+    """
+    values = []
     expected = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -159,37 +140,19 @@ def parse_bfile(text: str) -> BFile:
             if len(fields) != 2 or not _INT_FIELD.fullmatch(fields[0]):
                 raise ValueError
             value = from_decimal(fields[1])
+            index = int(fields[0])  # ValueError past the int<->str digit limit
         except ValueError:
             raise ParseError(line_no, f"expected '<index> <value>', got {raw!r}") from None
-        index = int(fields[0])
         if expected is not None and index != expected:
             raise GapError(line_no, expected, index)
         expected = index + 1
-        entries.append((index, value))
-    return BFile(tuple(entries))
+        values.append(value)
+    return SequenceBuffer(values, start_index=expected - len(values) if values else 0)
 
 
-def emit_bfile(source: SequenceBuffer | BFile) -> str:
+def emit_bfile(buffer: SequenceBuffer) -> str:
     """Render '<index> <value>\\n' lines; exact round trip with parse_bfile."""
-    items = source.entries if isinstance(source, BFile) else source.items()
-    return "".join(f"{index} {to_decimal(as_integer(value))}\n" for index, value in items)
-
-
-def buffer_from_bfile(bfile: BFile, count: int | None = None) -> SequenceBuffer:
-    """Load the b-file entries n < count into a buffer at their own indices.
-
-    The buffer starts at min(file start, count), so a file that starts
-    past the bound gives an empty buffer at count; count None bounds
-    nothing, and a negative count raises ValueError.
-    """
-    start = bfile.start_index
-    if count is None:
-        count = start + len(bfile.entries)
-    elif count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    return SequenceBuffer(
-        [value for index, value in bfile.entries if index < count], start_index=min(start, count)
-    )
+    return "".join(f"{index} {to_decimal(as_integer(value))}\n" for index, value in buffer.items())
 
 
 def term_text(value) -> str:

@@ -9,8 +9,8 @@ and the integer-mode engine can be cross-checked against the prefix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
-from .coprime import gcd
 from .engine import (
     INTEGER,
     RATIONAL,

@@ -49,9 +49,30 @@ class TestGenerate:
         assert payload["kind"] == "terms"
         assert payload["terms"] == FIRST_TWELVE
 
-    def test_count_below_order_is_usage_error(self, capsys):
-        assert main(["generate", "--count", "3"]) == 2
-        assert "error:" in capsys.readouterr().err
+    @pytest.mark.parametrize("fmt", ["text", "json", "bfile"])
+    @pytest.mark.parametrize("count", [0, 3, 5])
+    def test_count_below_the_order_prints_the_first_initials(self, capsys, count, fmt):
+        assert main(["generate", "--count", str(count), "--format", fmt]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if fmt == "json":
+            assert json.loads(captured.out) == {
+                "schema_version": "1",
+                "kind": "terms",
+                "name": "somos-5",
+                "start_index": 0,
+                "terms": ["1"] * count,
+            }
+        elif fmt == "bfile":
+            assert captured.out == "".join(f"{n} 1\n" for n in range(count))
+        else:
+            assert captured.out == "1\n" * count
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "bfile"])
+    def test_negative_count_is_a_usage_error(self, capsys, fmt):
+        assert main(["generate", "--count", "-2", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: count must be non-negative, got -2\n")
 
     def test_k_below_four_is_usage_error(self, capsys):
         assert main(["generate", "--k", "3"]) == 2
@@ -451,7 +472,7 @@ class TestCrosscheck:
         [
             ("fixture", [], 200),
             ("fixture", ["--count", "900"], 200),
-            ("fixture", ["--count", "3"], 5),
+            ("fixture", ["--count", "3"], 3),
             ("tail", ["--count", "80"], 80),
             ("tail", ["--count", "30"], 30),
         ],

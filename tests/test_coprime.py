@@ -14,13 +14,11 @@ import somos.coprime
 import somos.engine
 from somos import (
     RATIONAL,
-    BFile,
     IndexOutOfRangeError,
     NonIntegralTermError,
     SequenceBuffer,
     SequenceSpec,
     ZeroDenominatorError,
-    buffer_from_bfile,
     check_lemma_cancellation,
     check_lemma_pairwise,
     check_lemma_product,
@@ -382,10 +380,10 @@ class TestOnePassVerify:
                 assert _one_pass(buffer, spec, depth) == two_stage_verify(buffer, spec, depth)
 
     def test_offset_bfile_slices(self, two_stage_verify):
-        entries = parse_bfile(FIXTURE.read_text(encoding="utf-8")).entries
+        lines = FIXTURE.read_text(encoding="utf-8").splitlines(keepends=True)
         spec = somos5_spec()
         for lo, hi in ((1, 40), (50, 120), (150, 200)):
-            clean = buffer_from_bfile(BFile(entries[lo:hi]))
+            clean = parse_bfile("".join(lines[lo:hi]))
             assert clean.start_index == lo
             for m in (lo, lo + 3, lo + 11, hi - 1):
                 values = clean.values()

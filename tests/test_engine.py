@@ -249,9 +249,15 @@ class TestGenerate:
         oracle = fraction_terms(5, SOMOS_SUMMANDS[5], 14)
         assert [Fraction(v) for v in buffer.values()] == oracle
 
-    def test_count_below_order_rejected(self):
-        with pytest.raises(ValueError):
-            generate(somos5_spec(), 3)
+    @pytest.mark.parametrize("count", [0, 1, 3, 5])
+    def test_count_below_order_gives_the_first_initials(self, count):
+        spec = SequenceSpec(order=5, summands=SOMOS_SUMMANDS[5], initials=(2, 3, 5, 7, 11))
+        buffer = generate(spec, count)
+        assert (buffer.start_index, buffer.values()) == (0, [2, 3, 5, 7, 11][:count])
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="^count must be non-negative, got -2$"):
+            generate(somos5_spec(), -2)
 
     def test_integer_mode_aborts_with_witness(self):
         spec = somos_k_spec(8)
@@ -400,6 +406,10 @@ class TestBufferRetention:
         assert buffer.has_range(7, 9)
         assert not buffer.has_range(6, 9)
         assert not buffer.has_range(7, 10)
+
+    def test_below_a_negative_start(self):
+        below = SequenceBuffer([1, 2, 3], start_index=-2).below(0)
+        assert (below.start_index, below.values()) == (-2, [1, 2])
 
 
 class TestRecurrenceRecheck:

@@ -12,11 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from somos import (
-    BFile,
     GapError,
     ParseError,
     SequenceBuffer,
-    buffer_from_bfile,
     build_certificate,
     emit_bfile,
     emit_report_json,
@@ -36,14 +34,14 @@ FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "b006721.txt"
 
 class TestParseBFile:
     def test_known_prefix(self):
-        bfile = parse_bfile("0 1\n1 1\n2 1\n3 1\n4 1\n5 2\n")
-        assert len(bfile.entries) == 6
-        assert bfile.entries[-1] == (5, 2)
+        buffer = parse_bfile("0 1\n1 1\n2 1\n3 1\n4 1\n5 2\n")
+        assert (buffer.start_index, buffer.values()) == (0, [1, 1, 1, 1, 1, 2])
 
     def test_comments_and_blanks_skipped(self):
-        bfile = parse_bfile("# comment\n0 1\n")
-        assert bfile.entries == ((0, 1),)
-        assert parse_bfile("\n\n# only noise\n").entries == ()
+        buffer = parse_bfile("# comment\n0 1\n")
+        assert (buffer.start_index, buffer.values()) == (0, [1])
+        empty = parse_bfile("\n\n# only noise\n")
+        assert (empty.start_index, empty.values()) == (0, [])
 
     def test_gap_is_an_error(self):
         with pytest.raises(GapError) as excinfo:
@@ -71,12 +69,19 @@ class TestParseBFile:
         assert str(excinfo.value) == f"line 2: expected '<index> <value>', got {line!r}"
 
     def test_negative_values_and_offset_start(self):
-        bfile = parse_bfile("3 -7\n4 9\n")
-        assert bfile.entries == ((3, -7), (4, 9))
+        buffer = parse_bfile("3 -7\n4 9\n")
+        assert (buffer.start_index, buffer.values()) == (3, [-7, 9])
+        buffer = parse_bfile("-2 5\n-1 6\n0 7\n")
+        assert (buffer.start_index, buffer.values()) == (-2, [5, 6, 7])
 
-    def test_bfile_invariant_enforced_on_construction(self):
-        with pytest.raises(ValueError):
-            BFile(((0, 1), (2, 1)))
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int<->str digit limit"
+    )
+    def test_index_past_the_digit_limit_is_a_parse_error(self):
+        line = "1" * 5000 + " 1"
+        with digit_limit(4300), pytest.raises(ParseError) as excinfo:
+            parse_bfile("0 1\n" + line + "\n")
+        assert str(excinfo.value) == f"line 2: expected '<index> <value>', got {line!r}"
 
 
 class TestEmitBFile:
@@ -92,7 +97,7 @@ class TestEmitBFile:
 
     def test_round_trip_reproduces_buffer(self):
         buffer = generate(somos5_spec(), 40)
-        parsed = buffer_from_bfile(parse_bfile(emit_bfile(buffer)))
+        parsed = parse_bfile(emit_bfile(buffer))
         assert parsed.values() == buffer.values()
         assert parsed.start_index == buffer.start_index
 
@@ -108,7 +113,7 @@ class TestEmitBFile:
         ],
     )
     def test_count_bounds_the_indices(self, count, start, indices):
-        buffer = buffer_from_bfile(BFile(((3, 30), (4, 40), (5, 50), (6, 60))), count)
+        buffer = parse_bfile("3 30\n4 40\n5 50\n6 60\n").below(count)
         assert buffer.start_index == start
         assert [i for i, _ in buffer.items()] == indices
         assert buffer.values() == [10 * i for i in indices]
@@ -122,17 +127,21 @@ class TestEmitBFile:
         with pytest.raises(ValueError):
             emit_bfile(buffer)
 
-    @given(st.lists(st.integers(min_value=-(10**30), max_value=10**30), max_size=30))
-    def test_round_trip_random_values(self, values):
-        bfile = BFile(tuple(enumerate(values)))
-        assert parse_bfile(emit_bfile(bfile)) == bfile
+    @given(
+        st.lists(st.integers(min_value=-(10**30), max_value=10**30), max_size=30),
+        st.integers(min_value=-(10**6), max_value=10**6),
+    )
+    def test_round_trip_random_values(self, values, start):
+        parsed = parse_bfile(emit_bfile(SequenceBuffer(values, start_index=start)))
+        assert parsed.values() == values
+        assert parsed.start_index == (start if values else 0)
 
     def test_round_trip_ten_thousand_digit_values(self):
         rng = random.Random(12345)
         for _ in range(5):
             value = rng.randrange(10**9999, 10**10000)
-            bfile = BFile(((0, value), (1, -value)))
-            assert parse_bfile(emit_bfile(bfile)) == bfile
+            parsed = parse_bfile(emit_bfile(SequenceBuffer([value, -value])))
+            assert (parsed.start_index, parsed.values()) == (0, [value, -value])
             assert from_decimal(to_decimal(value)) == value
 
 
