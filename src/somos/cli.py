@@ -100,10 +100,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SomosError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except NonIntegralTermError as exc:
+        _print_event(exc.event)
+        return EXIT_CHECK_FAILED
+    except (SomosError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -147,11 +147,7 @@ def _print_report(report: VerificationReport, fmt: str) -> None:
 
 def cmd_generate(args) -> int:
     spec = somos_k_spec(args.k)
-    try:
-        buffer = generate(spec, args.count, mode=args.mode)
-    except NonIntegralTermError as exc:
-        _print_event(exc.event)
-        return EXIT_CHECK_FAILED
+    buffer = generate(spec, args.count, mode=args.mode)
     if args.format == "bfile":
         _write(emit_bfile(buffer), args.output)
     elif args.format == "json":
@@ -172,11 +168,7 @@ def cmd_verify(args) -> int:
         first = parsed.start_index  # the buffer starts at count when the file starts past it
     else:
         identity_holds = {}  # each generated identity, as the engine checked it
-        try:
-            buffer = generate(spec, args.count, INTEGER, identity_holds)
-        except NonIntegralTermError as exc:
-            _print_event(exc.event)
-            return EXIT_CHECK_FAILED
+        buffer = generate(spec, args.count, INTEGER, identity_holds)
         first = buffer.start_index
 
     report = verify_recurrence_and_windows(buffer, spec, args.depth, identity_holds)
@@ -256,18 +248,10 @@ def cmd_scan(args) -> int:
 
 def cmd_crosscheck(args) -> int:
     with open(args.input, "r", encoding="utf-8") as handle:
-        parsed = parse_bfile(handle.read())
-    fixture = parsed.below(args.count)
-    if not len(parsed):
-        print("fixture is empty; nothing to compare")
-        return EXIT_OK
+        fixture = parse_bfile(handle.read()).below(args.count)
     spec = somos_k_spec(args.k)
     stop = fixture.next_index
-    try:
-        buffer = generate(spec, max(stop, 0), mode=INTEGER)  # stop < 0: an empty range
-    except NonIntegralTermError as exc:
-        _print_event(exc.event)
-        return EXIT_CHECK_FAILED
+    buffer = generate(spec, max(stop, 0), mode=INTEGER)  # stop < 0: an empty range
 
     def mismatch(n):
         generated, expected = buffer.term(n), fixture.term(n)

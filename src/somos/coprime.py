@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .engine import SequenceBuffer, SequenceSpec, as_integer, first_recurrence_violation
-from .errors import IndexOutOfRangeError, SomosError
+from .errors import IndexOutOfRangeError
 
 LEMMA_NAMES = ("product", "pairwise", "shift", "cancellation")
 
@@ -229,43 +229,34 @@ def verify_recurrence_and_windows(
     depth: int = 4,
     identity_holds: dict[int, bool] | None = None,
 ) -> VerificationReport:
-    """Check the coprime windows and the recurrence identity of a whole buffer.
+    """Check the recurrence identity of a whole buffer, then its coprime windows.
 
-    First the windows run over the range verify_coprime_range covers by
-    default, deriving some offsets from the identity (below) instead of
-    computing their gcds; what a window raises is kept.  Then
-    first_recurrence_violation checks the identity a_n a_{n-k} = sum of
-    a_{n-i} a_{n-j} once, exactly, at every n in [max(start_index + k,
-    k), next_index), on integral and rational terms alike.  It is given
-    identity_holds: on a buffer from generate, the facts next_term
+    First first_recurrence_violation checks the identity a_n a_{n-k} =
+    sum of a_{n-i} a_{n-j} once, exactly, at every n in [max(start_index
+    + k, k), next_index), on integral and rational terms alike.  It is
+    given identity_holds: on a buffer from generate, the facts next_term
     recorded as it stepped (one fresh product of each appended term
     with its divisor, against the sum it divided) are read, not
     evaluated again; without them, as for a b-file, every index is
     evaluated.  A violation is reported as a "recurrence-identity"
-    failure, in preference to any coprime failure or raised error, an
-    earlier one included.  Without a violation, what a window raised is
-    raised, and otherwise the result is exactly that of
-    verify_coprime_range(buffer, depth).
+    failure, and no window runs.  Otherwise the windows run over the
+    range verify_coprime_range covers by default, deriving some offsets
+    from the identity (below) instead of computing their gcds, and the
+    result is exactly that of verify_coprime_range(buffer, depth).
 
     A window at n derives gcd(a_n, a_{n-o}) = 1 for an offset o from
-    the identity at n, by this argument.  Let o < k, let (i, j) be the
-    only summand of the spec that does not contain o, and let the
-    identity hold at n.  A prime p dividing a_n and a_{n-o} divides the
-    left side and every summand holding a_{n-o}, so it divides a_{n-i}
-    a_{n-j}, hence a_{n-i} or a_{n-j}.  It then divides both terms of the
-    pair (a_{n-o}, a_{n-i}) or (a_{n-o}, a_{n-j}).  The window at n -
-    min(o, i) holds the first pair at offset |o - i|, and likewise for j.
-    When both offsets are in 1..depth and both windows lie in the range,
-    they have passed, since no window is run after the first failure; so
-    no such p exists.  Zero is divisible by every prime, so the argument
-    covers zero terms too.
-
-    The windows derive before the identity is checked, assuming it
-    holds at every n >= max(start_index + k, k).  An unsound derivation
-    can never reach a report: where the assumption is false, the
-    identity pass finds the violation and its report replaces whatever
-    the windows found or raised.  Where it is true, every derived
-    offset provably passes, so each window failure comes from a
+    the identity at n, which the first pass has proven.  Let o < k and
+    let (i, j) be the only summand of the spec that does not contain o.
+    A prime p dividing a_n and a_{n-o} divides the left side and every
+    summand holding a_{n-o}, so it divides a_{n-i} a_{n-j}, hence
+    a_{n-i} or a_{n-j}.  It then divides
+    both terms of the pair (a_{n-o}, a_{n-i}) or (a_{n-o}, a_{n-j}).
+    The window at n - min(o, i) holds the first pair at offset |o - i|,
+    and likewise for j.  When both offsets are in 1..depth and both
+    windows lie in the range, they have passed, since no window is run
+    after the first failure; so no such p exists.  Zero is divisible by
+    every prime, so the argument covers zero terms too.  Every derived
+    offset therefore passes, and each window failure comes from a
     computed gcd.
 
     The argument is about integers, and a window derives only where
@@ -282,24 +273,13 @@ def verify_recurrence_and_windows(
     Somos-6 and Somos-7 have no qualifying offset, since each offset
     misses at least two of their summands.
 
-    A depth below 1 is refused before the first window, so even a range
-    with no window raises ValueError, unless a violation outranks it as
-    it outranks any raised error.
+    A depth below 1 is refused after the identity pass and before the
+    first window, so even a range with no window raises ValueError
+    when the identity holds.
     """
     reach = _derivable_offsets(spec, depth)
     lo = max(buffer.start_index + spec.order, spec.order)
-    start = window_start(buffer.start_index, depth)
     stop = buffer.next_index
-
-    def window_failure(n):
-        proven = frozenset(o for o, back in reach.items() if n >= lo and n - back >= start)
-        return _window_reason(verify_coprime_window(buffer, n, depth, proven))
-
-    try:
-        _require_depth(depth)
-        windows = first_failure("coprime-window", start, stop, window_failure)
-    except (ValueError, SomosError) as exc:
-        windows = exc
     violation = first_recurrence_violation(buffer, spec, identity_holds)
     if violation is not None:
         # The walk over [lo, violation] only counts: each identity was checked once, above.
@@ -309,9 +289,14 @@ def verify_recurrence_and_windows(
             stop,
             lambda n: "a_n * a_{n-k} != bilinear sum" if n == violation else None,
         )
-    if isinstance(windows, Exception):
-        raise windows
-    return windows
+    _require_depth(depth)
+    start = window_start(buffer.start_index, depth)
+
+    def window_failure(n):
+        proven = frozenset(o for o, back in reach.items() if n >= lo and n - back >= start)
+        return _window_reason(verify_coprime_window(buffer, n, depth, proven))
+
+    return first_failure("coprime-window", start, stop, window_failure)
 
 
 def _window_reason(report: CoprimeWindowReport) -> str | None:

@@ -416,10 +416,16 @@ class TestCrosscheck:
         assert "first failure at n = 25" in capsys.readouterr().out
 
     def test_empty_fixture(self, tmp_path, capsys):
+        # An empty file is the empty range [0, 0), reported like any other range.
         empty = self._write_input(tmp_path, "empty")
         for count in ([], ["--count", "0"], ["--count", "30"]):
             assert main(["crosscheck", "--input", empty] + count) == 0
-            assert capsys.readouterr().out == "fixture is empty; nothing to compare\n"
+            assert capsys.readouterr().out == "crosscheck over n in [0, 0): 0 checked, pass\n"
+            assert main(["crosscheck", "--input", empty, "--format", "json"] + count) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["kind"] == "verification_report"
+            assert (payload["check"], payload["start"], payload["stop"]) == ("crosscheck", 0, 0)
+            assert (payload["checked"], payload["passed"]) == (0, True)
 
     @staticmethod
     def _write_input(tmp_path, name):

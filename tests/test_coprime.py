@@ -439,6 +439,22 @@ class TestOnePassVerify:
             assert report == two_stage_verify(buffer, spec, depth)
             assert (report.check, report.first_failure_index) == ("recurrence-identity", 27)
 
+    @pytest.mark.parametrize("depth", [0, 1, 4])
+    def test_a_violation_runs_no_window(self, two_stage_verify, somos5_values, monkeypatch, depth):
+        spec = somos5_spec()
+        values = list(somos5_values[:60])
+        values[40] += 1
+        buffer = SequenceBuffer(values)
+        windows = []
+        window = somos.coprime.verify_coprime_window
+        monkeypatch.setattr(
+            somos.coprime, "verify_coprime_window", lambda *a: windows.append(a[1]) or window(*a)
+        )
+        report = verify_recurrence_and_windows(buffer, spec, depth)
+        assert windows == []
+        assert report == two_stage_verify(buffer, spec, depth)
+        assert (report.check, report.first_failure_index) == ("recurrence-identity", 40)
+
     @staticmethod
     def _evaluated_identities(monkeypatch):
         # The indices engine._identity is called at, in order.
