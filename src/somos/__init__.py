@@ -38,7 +38,6 @@ from .engine import (
     SequenceBuffer,
     SequenceSpec,
     as_integer,
-    digit_count,
     first_recurrence_violation,
     generate,
     new_state,
@@ -101,7 +100,6 @@ __all__ = [
     "check_lemma_pairwise",
     "check_lemma_product",
     "check_lemma_shift",
-    "digit_count",
     "emit_bfile",
     "emit_report_json",
     "emit_terms_json",

@@ -10,7 +10,8 @@ validity rests on three facts, all computed when it is built:
     lets the multiplier a_{n-8}a_{n-9} be removed again at the end,
   * the residue of the numerator modulo a_{n-5}, which must be zero.
 
-_recurrence_sides is the one description of the recurrence identity.
+engine._sides, given the Somos-5 spec, is the one statement of the
+recurrence identity; at shift 0 its right-hand side is the numerator.
 Shift s at n is the recurrence at n - s, so along a range each identity
 belongs to five consecutive certificates.  certify_range therefore keeps
 one table from an index j to the (lhs, rhs) of the recurrence at j and
@@ -32,7 +33,7 @@ multiplies the numerator by a_{n-8}a_{n-9}, rewrites it with the shift
 identities, drops explicit multiples of a_{n-5}, and ends at
 a_{n-3}a_{n-4}a_{n-5}a_{n-10}, which carries a_{n-5} as a literal factor.
 _chain_lines is its one description.  It builds the lines with +, - and
-* alone, over the sides of _recurrence_sides, so tests/test_certificate.py
+* alone, over the sides engine._sides gives, so tests/test_certificate.py
 passes it a window of polynomial variables and expands this very
 function: each step's difference, less what it drops, is a fixed
 polynomial combination of the shift identities.  No step can fail while
@@ -59,13 +60,16 @@ from functools import cached_property
 from math import gcd
 
 from .coprime import VerificationReport, first_failure
-from .engine import SequenceBuffer, _divmod, as_integer
+from .engine import SequenceBuffer, _divmod, _sides, as_integer, somos5_spec
 from .errors import IndexOutOfRangeError, ZeroDenominatorError
 
 EXACT_REWRITE = "exact-rewrite"
 DROP_MULTIPLE = "drop-multiple"
 
 CERTIFICATE_START = 10
+
+_SOMOS5 = somos5_spec()
+
 
 @dataclass(frozen=True)
 class IndexShiftIdentity:
@@ -136,20 +140,6 @@ def _window(buffer: SequenceBuffer, n: int) -> tuple[int, ...]:
     return (0,) + tuple(as_integer(buffer.term(n - d)) for d in range(1, 11))
 
 
-def _recurrence_sides(t, s: int) -> tuple:
-    """The recurrence at n - s over the window t, t[d] = a_{n-d}, as (lhs, rhs):
-    (a_{n-s} a_{n-s-5}, a_{n-s-1} a_{n-s-4} + a_{n-s-2} a_{n-s-3}).
-
-    Shifts s = 1..5 are the certificate's shift identities.  At s = 0 the
-    right-hand side is the numerator, and the left-hand side is a_n
-    a_{n-5} when t[0] holds a_n (0 in the stored window).  This is the one
-    description of the identity: certificates, check_index_shifts and
-    _chain_lines evaluate it here, with + and * alone, so tests pass it
-    polynomial variables too.
-    """
-    return t[s] * t[s + 5], t[s + 1] * t[s + 4] + t[s + 2] * t[s + 3]
-
-
 def _shift_identities(t, n: int, identities: dict) -> tuple[IndexShiftIdentity, ...]:
     """Shifts 5 down to 1 at n over the window t.
 
@@ -160,7 +150,7 @@ def _shift_identities(t, n: int, identities: dict) -> tuple[IndexShiftIdentity, 
     for s in range(5, 0, -1):
         sides = identities.get(n - s)
         if sides is None:
-            sides = identities[n - s] = _recurrence_sides(t, s)
+            sides = identities[n - s] = _sides(t, _SOMOS5, s)
         lhs, rhs = sides
         shifts.append(IndexShiftIdentity(shift=s, lhs=lhs, rhs=rhs, holds=lhs == rhs))
     return tuple(shifts)
@@ -212,9 +202,9 @@ def build_certificate(
     precondition_gcd = gcd(m, t[8] * t[9])
     term = _integral_term(buffer, n)
     if term is None:
-        lhs, numerator = _recurrence_sides(t, 0)  # a_n read as t[0] = 0
+        lhs, numerator = _sides(t, _SOMOS5)  # a_n read as t[0] = 0
     else:
-        lhs, numerator = identities[n] = _recurrence_sides((term,) + t[1:], 0)
+        lhs, numerator = identities[n] = _sides((term,) + t[1:], _SOMOS5)
     # lhs == numerator shows that numerator = a_n * m exactly, so m divides it.
     numerator_residue = 0 if lhs == numerator else _divmod(numerator, m)[1]
     valid = (
@@ -244,7 +234,7 @@ def _chain_lines(t) -> list:
     used, so the window may hold integers or polynomial variables alike.
     """
     m = t[5]
-    lhs, rhs = zip(*(_recurrence_sides(t, s) for s in range(6)))  # rhs[0]: the numerator
+    lhs, rhs = zip(*(_sides(t, _SOMOS5, s) for s in range(6)))  # rhs[0]: the numerator
     multiplier = t[8] * t[9]
     p18, p29, p78, p49, p34 = t[1] * t[8], t[2] * t[9], t[7] * t[8], t[4] * t[9], t[3] * t[4]
     return [

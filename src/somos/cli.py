@@ -101,7 +101,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except NonIntegralTermError as exc:
-        _print_event(exc.event)
+        if args.format == "json":
+            print(emit_report_json(exc.event))
+        else:
+            _print_event(exc.event)
         return EXIT_CHECK_FAILED
     except (SomosError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

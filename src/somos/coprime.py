@@ -26,26 +26,26 @@ DEFAULT_SAMPLES = 10_000
 DEFAULT_BOUND = 10**6
 
 
-def check_lemma_product(a: int, x: int, y: int, gcd_fn=gcd) -> bool:
+def check_lemma_product(a: int, x: int, y: int) -> bool:
     """Whether the product-closure biconditional holds for this triple."""
-    both_coprime = gcd_fn(a, x) == 1 and gcd_fn(a, y) == 1
-    return both_coprime == (gcd_fn(a, x * y) == 1)
+    both_coprime = gcd(a, x) == 1 and gcd(a, y) == 1
+    return both_coprime == (gcd(a, x * y) == 1)
 
 
-def check_lemma_pairwise(a: int, b: int, x: int, y: int, gcd_fn=gcd) -> bool:
+def check_lemma_pairwise(a: int, b: int, x: int, y: int) -> bool:
     """Whether the four-way pairwise biconditional holds for this quadruple."""
     all_pairs = (
-        gcd_fn(a, x) == 1
-        and gcd_fn(a, y) == 1
-        and gcd_fn(b, x) == 1
-        and gcd_fn(b, y) == 1
+        gcd(a, x) == 1
+        and gcd(a, y) == 1
+        and gcd(b, x) == 1
+        and gcd(b, y) == 1
     )
-    return all_pairs == (gcd_fn(a * b, x * y) == 1)
+    return all_pairs == (gcd(a * b, x * y) == 1)
 
 
-def check_lemma_shift(x: int, y: int, gcd_fn=gcd) -> bool:
+def check_lemma_shift(x: int, y: int) -> bool:
     """Whether gcd(x+y, y) == gcd(x, y) exactly (the strong shift form)."""
-    return gcd_fn(x + y, y) == gcd_fn(x, y)
+    return gcd(x + y, y) == gcd(x, y)
 
 
 def check_lemma_cancellation(y: int, b: int, z: int) -> bool:
@@ -79,12 +79,9 @@ def run_lemma_harness(
     seed: int = 0,
     samples: int = DEFAULT_SAMPLES,
     bound: int = DEFAULT_BOUND,
-    gcd_fn=gcd,
 ) -> LemmaHarnessReport:
     """Run all four randomized suites with a single seeded generator.
 
-    gcd_fn exists so tests can inject a broken gcd and watch the
-    counterexample counters move; production callers leave the default.
     Raises ValueError for samples < 0 or bound < 1, where no sample
     could be drawn.
     """
@@ -100,18 +97,18 @@ def run_lemma_harness(
         for _ in range(samples):
             if lemma == "product":
                 args = (rng.randint(1, bound), rng.randint(1, bound), rng.randint(1, bound))
-                ok = check_lemma_product(*args, gcd_fn=gcd_fn)
+                ok = check_lemma_product(*args)
             elif lemma == "pairwise":
                 args = tuple(rng.randint(1, bound) for _ in range(4))
-                ok = check_lemma_pairwise(*args, gcd_fn=gcd_fn)
+                ok = check_lemma_pairwise(*args)
             elif lemma == "shift":
                 args = (rng.randint(1, bound), rng.randint(1, bound))
-                ok = check_lemma_shift(*args, gcd_fn=gcd_fn)
+                ok = check_lemma_shift(*args)
             else:
                 y = rng.randint(1, bound)
                 z = rng.randint(1, bound)
                 b = rng.randint(1, bound)
-                while gcd_fn(b, z) != 1:
+                while gcd(b, z) != 1:
                     b = rng.randint(1, bound)
                 args = (y, b, z)
                 ok = check_lemma_cancellation(y, b, z)

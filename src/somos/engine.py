@@ -23,7 +23,6 @@ from .errors import (
     InvalidSpecError,
     NonIntegralTermError,
     ZeroDenominatorError,
-    int_text,
 )
 
 Term = Union[int, Fraction]
@@ -98,9 +97,11 @@ class NonIntegralEvent:
     remainder: int
 
     def __repr__(self) -> str:
+        from .formats import to_decimal  # formats imports this module
+
         return (
-            f"NonIntegralEvent(index={self.index}, numerator={int_text(self.numerator)}, "
-            f"denominator={int_text(self.denominator)}, remainder={int_text(self.remainder)})"
+            f"NonIntegralEvent(index={self.index}, numerator={to_decimal(self.numerator)}, "
+            f"denominator={to_decimal(self.denominator)}, remainder={to_decimal(self.remainder)})"
         )
 
 
@@ -386,26 +387,6 @@ def as_integer(value: Term) -> int:
     return value
 
 
-def digit_count(value) -> int:
-    """Number of decimal digits of |value|; digit_count(0) == 1.
-
-    Avoids str() so it works on terms past any interpreter digit guard.
-    """
-    value = abs(as_integer(value))
-    if value == 0:
-        return 1
-    # 30103/100000 slightly overestimates log10(2); correct in both directions.
-    estimate = value.bit_length() * 30103 // 100000
-    power = 10**estimate
-    while power > value:
-        estimate -= 1
-        power //= 10
-    while power * 10 <= value:
-        estimate += 1
-        power *= 10
-    return estimate + 1
-
-
 def first_recurrence_violation(
     buffer: SequenceBuffer, spec: SequenceSpec, identity_holds: dict[int, bool] | None = None
 ):
@@ -430,9 +411,21 @@ def first_recurrence_violation(
     return None
 
 
+def _sides(t, spec: SequenceSpec, s: int = 0) -> tuple:
+    """The recurrence identity at n - s over a window t with t[d] = a_{n-d},
+    as (lhs, rhs) = (a_{n-s} a_{n-s-k}, sum over summands (i, j) of
+    a_{n-s-i} a_{n-s-j}).
+
+    This is the one statement of the identity.  It uses + and * alone,
+    so the window may hold integers, fractions or polynomial variables.
+    """
+    k = spec.order
+    return t[s] * t[s + k], sum(t[s + i] * t[s + j] for i, j in spec.summands)
+
+
 def _identity(buffer: SequenceBuffer, spec: SequenceSpec, n: int) -> bool:
     """Whether a_n a_{n-k} equals the bilinear sum, exactly; a_{n-k} .. a_n
     must be in the buffer."""
-    terms = [buffer.term(n - d) for d in range(spec.order + 1)]  # a_n .. a_{n-k}
-    return terms[0] * terms[-1] == sum(terms[i] * terms[j] for i, j in spec.summands)
+    lhs, rhs = _sides([buffer.term(n - d) for d in range(spec.order + 1)], spec)
+    return lhs == rhs
 

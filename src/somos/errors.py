@@ -1,22 +1,6 @@
-"""Exception types shared across the package, and the digit-safe integer
-text their messages use."""
+"""Exception types shared across the package."""
 
 from __future__ import annotations
-
-
-def int_text(value: int) -> str:
-    """Decimal text of value, or a summary such as '<5001-digit integer>'.
-
-    The summary replaces values that str() refuses under the interpreter's
-    int-to-str digit limit (Python 3.11+), so that formatting a witness
-    never raises.
-    """
-    try:
-        return str(value)
-    except ValueError:
-        from .engine import digit_count  # engine imports this module
-
-        return f"<{digit_count(value)}-digit integer>"
 
 
 class SomosError(Exception):
@@ -46,11 +30,13 @@ class NonIntegralTermError(SomosError):
     """
 
     def __init__(self, event, buffer):
+        from .formats import to_decimal  # formats imports engine, which imports this module
+
         self.event = event
         self.buffer = buffer
         super().__init__(
             f"non-integral term at index {event.index}: "
-            f"remainder {int_text(event.remainder)} dividing by a[{event.index}-k]"
+            f"remainder {to_decimal(event.remainder)} dividing by a[{event.index}-k]"
         )
 
 

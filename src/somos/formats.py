@@ -194,6 +194,12 @@ def _payload(report) -> dict:
             "first_failure_index": report.first_failure_index,
             "first_failure_reason": report.first_failure_reason,
         }
+    if isinstance(report, NonIntegralEvent):
+        return {
+            "schema_version": SCHEMA_VERSION,
+            "kind": "non_integral_event",
+            **_event_payload(report),
+        }
     if isinstance(report, BreakdownReport):
         return {
             "schema_version": SCHEMA_VERSION,

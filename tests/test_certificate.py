@@ -26,7 +26,8 @@ from somos import (
     somos_k_spec,
 )
 from somos.coprime import first_failure
-from somos.certificate import _chain_lines, _failure_reason, _recurrence_sides
+from somos.certificate import _chain_lines, _failure_reason
+from somos.engine import _sides
 
 from helpers import SOMOS_SUMMANDS, certificate_oracle, first_fractional_index, fraction_terms
 
@@ -312,11 +313,12 @@ class TestChainFollowsFromTheShifts:
 
     def test_shift_identities_are_the_shift_gaps(self):
         t = variables()
+        spec = somos5_spec()
         for s in range(1, 6):
-            lhs, rhs = _recurrence_sides(t, s)
+            lhs, rhs = _sides(t, spec, s)
             assert lhs - rhs == shift_gap(t, s)
         # At shift 0 the stored window's t[0] = 0: only the numerator is left.
-        assert _recurrence_sides(t, 0) == (0, t[1] * t[4] + t[2] * t[3])
+        assert _sides(t, spec) == (0, t[1] * t[4] + t[2] * t[3])
 
     def test_dropped_multiples_and_last_line_carry_t5(self):
         lines = _chain_lines(variables())
@@ -528,16 +530,16 @@ class TestRangeSharesIdentities:
 
     def test_each_identity_is_evaluated_once_without_a_division(self, somos5_buffer, monkeypatch):
         calls = []
-        sides = somos.certificate._recurrence_sides
+        sides = somos.certificate._sides
 
-        def count(t, s):
+        def count(t, spec, s=0):
             calls.append(s)
-            return sides(t, s)
+            return sides(t, spec, s)
 
         def refuse(a, b):
             raise AssertionError("residue divided")
 
-        monkeypatch.setattr(somos.certificate, "_recurrence_sides", count)
+        monkeypatch.setattr(somos.certificate, "_sides", count)
         monkeypatch.setattr(somos.certificate, "_divmod", refuse)
         report = certify_range(somos5_buffer(450), 10, 450)
         assert (report.passed, report.checked) == (True, 440)

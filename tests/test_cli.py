@@ -562,6 +562,39 @@ class TestCountOnBfileInput:
             assert (captured.out, captured.err) == ("", "error: count must be non-negative, got -5\n")
 
 
+SOMOS8_AT_30 = {
+    "generate": ["generate", "--k", "8", "--count", "30"],
+    "verify": ["verify", "--k", "8", "--count", "30"],
+    "crosscheck": ["crosscheck", "--k", "8", "--input", str(FIXTURE)],
+}
+
+
+class TestNonIntegralWitness:
+    """Somos-8's first non-integral term, a_17 = 420514/7, exits 1 with its witness."""
+
+    @pytest.mark.parametrize("command", sorted(SOMOS8_AT_30))
+    def test_json_format_prints_the_event_as_json(self, capsys, command):
+        assert main(SOMOS8_AT_30[command] + ["--format", "json"]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "schema_version": "1",
+            "kind": "non_integral_event",
+            "index": 17,
+            "numerator": "420514",
+            "denominator": "7",
+            "remainder": "3",
+        }
+
+    @pytest.mark.parametrize(
+        "command,fmt",
+        [("crosscheck", "text"), ("generate", "bfile"), ("generate", "text"), ("verify", "text")],
+    )
+    def test_other_formats_print_the_text_line(self, capsys, command, fmt):
+        assert main(SOMOS8_AT_30[command] + ["--format", fmt]) == 1
+        assert capsys.readouterr().out == (
+            "non-integral term at index 17: numerator 420514, denominator 7, remainder 3\n"
+        )
+
+
 class TestUsage:
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:

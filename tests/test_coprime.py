@@ -149,12 +149,13 @@ class TestLemmaHarness:
         report = run_lemma_harness(seed=0, samples=5, bound=1)
         assert report.passed and all(r.samples == 5 for r in report.results)
 
-    def test_faulty_gcd_is_caught(self):
+    def test_faulty_gcd_is_caught(self, monkeypatch):
         def faulty(a, b):
             # pretends everything past the sample bound is coprime
             return 1 if b > 10**6 else math.gcd(a, b)
 
-        report = run_lemma_harness(seed=0, samples=300, gcd_fn=faulty)
+        monkeypatch.setattr(somos.coprime, "gcd", faulty)
+        report = run_lemma_harness(seed=0, samples=300)
         assert not report.passed
         broken = [r for r in report.results if r.failures]
         assert broken
