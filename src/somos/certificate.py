@@ -2,7 +2,7 @@
 
 A certificate at index n shows, in exact integer arithmetic, that a_{n-5}
 divides the bilinear numerator a_{n-1}a_{n-4} + a_{n-2}a_{n-3}.  Its
-validity rests on three facts, all computed when it is built:
+validity rests on three facts, all established when it is built:
 
   * the five index-shift identities, i.e. the defining recurrence
     re-instantiated at n-1 .. n-5 (each reaches back to a_{n-10}),
@@ -23,9 +23,37 @@ numerator it sums anyway, and records it as the next certificate's shift
 1.  Where that identity holds, a_{n-5} divides the numerator by that
 exact equality and the residue is 0; only where it fails, or a_n is
 absent (certify --index N holds a_0 .. a_{N-1}) or fractional, is the
-numerator divided.  So a range forms four products per index, the new
-identity's three and the multiplier a_{n-8}a_{n-9} of the precondition,
-where building each certificate alone forms eighteen and a division.
+numerator divided.
+
+Along a range the precondition follows from those same identities, by
+the paper's coprimality induction, which uses Euclid's lemma alone.
+Write I_m for the recurrence at m, a_m a_{m-5} = a_{m-1}a_{m-4} +
+a_{m-2}a_{m-3}, and P(j) for gcd(a_j, a_{j-1}) = gcd(a_j, a_{j-2}) = 1.
+
+  (1) I_m, P(m-1) and P(m-2) give P(m).  A prime dividing a_m and
+      a_{m-1} divides a_{m-2}a_{m-3} by I_m, yet P(m-1) makes a_{m-1}
+      prime to both factors.  A prime dividing a_m and a_{m-2} divides
+      a_{m-1}a_{m-4}, yet a_{m-2} is prime to a_{m-1} by P(m-1) and to
+      a_{m-4} by P(m-2).
+  (2) I_m, P(m-1), P(m-2) and P(m-3) give gcd(a_m, a_{m-3}) =
+      gcd(a_m, a_{m-4}) = 1.  A prime dividing a_m and a_{m-3} divides
+      a_{m-1}a_{m-4}, yet a_{m-3} is prime to a_{m-1} by P(m-1) and to
+      a_{m-4} by P(m-3).  A prime dividing a_m and a_{m-4} divides
+      a_{m-2}a_{m-3}, yet a_{m-4} is prime to a_{m-2} by P(m-2) and to
+      a_{m-3} by P(m-3).
+
+At m = n-5, (2) and the product lemma give the precondition at n.  Both
+hold for zero and negative terms, since gcd = 1 says exactly that no
+prime divides both.  So certify_range keeps, next to its identities, the
+set of j where P(j) is proven, at most four entries.  Six gcds over the
+window of its first certificate, or of any that finds the set empty,
+seed P(n-8), P(n-7) and P(n-6).  Where shift 5, which is I_{n-5}, holds
+and those three are proven, build_certificate sets the precondition gcd
+to 1 with no product and no gcd, and records P(n-5) by (1); elsewhere it
+computes the gcd, as a certificate built alone always does.  So a clean
+range forms three products per index, the new identity's, and six gcds
+in all, where building each certificate alone forms eighteen products, a
+gcd and a division.
 Either route yields the same certificate, field for field.
 
 The eight-step reduction chain displays how these facts combine: it
@@ -174,8 +202,16 @@ def _integral_term(buffer: SequenceBuffer, n: int) -> int | None:
     return value
 
 
+def _coprime_predecessors(t, n: int) -> set[int]:
+    """The j in n-8 .. n-6 where P(j) holds over the window t, by two gcds each."""
+    return {n - d for d in (6, 7, 8) if gcd(t[d], t[d + 1]) == 1 and gcd(t[d], t[d + 2]) == 1}
+
+
 def build_certificate(
-    buffer: SequenceBuffer, n: int, identities: dict | None = None
+    buffer: SequenceBuffer,
+    n: int,
+    identities: dict | None = None,
+    proven: set | None = None,
 ) -> DivisibilityCertificate:
     """Check the facts the certificate at index n rests on.
 
@@ -190,6 +226,13 @@ def build_certificate(
     term of the buffer, the recurrence at n is evaluated too and recorded
     for n + 1; where it holds, a_n a_{n-5} equals the numerator exactly,
     so the residue is 0 without a division.
+
+    proven, when given, holds the indices j at which P(j) is proven over
+    this same buffer (see the module docstring); when it is empty, six
+    gcds over the window seed it.  Where shift 5 holds and P(n-6),
+    P(n-7) and P(n-8) are proven, the precondition gcd is 1 without a
+    gcd, and P(n-5) is recorded.  Otherwise, and always when proven is
+    None, the gcd is computed.
     """
     t = _window(buffer, n)
     m = t[5]
@@ -199,7 +242,13 @@ def build_certificate(
         identities = {}
 
     shifts = _shift_identities(t, n, identities)
-    precondition_gcd = gcd(m, t[8] * t[9])
+    if proven is not None and not proven:
+        proven.update(_coprime_predecessors(t, n))
+    if proven and shifts[0].holds and {n - 8, n - 7, n - 6} <= proven:
+        precondition_gcd = 1
+        proven.add(n - 5)
+    else:
+        precondition_gcd = gcd(m, t[8] * t[9])
     term = _integral_term(buffer, n)
     if term is None:
         lhs, numerator = _sides(t, _SOMOS5)  # a_n read as t[0] = 0
@@ -289,11 +338,12 @@ def certify_range(
         start = max(CERTIFICATE_START, buffer.start_index + 10)
     if stop is None:
         stop = buffer.next_index
-    identities = {}
+    identities, proven = {}, set()
 
     def failure_at(n):
         identities.pop(n - 6, None)  # keeps the recurrences at n - 5 .. n
-        return _failure_reason(build_certificate(buffer, n, identities))
+        proven.discard(n - 9)  # keeps P at n - 8 .. n - 5
+        return _failure_reason(build_certificate(buffer, n, identities, proven))
 
     return first_failure("certificate", start, stop, failure_at)
 

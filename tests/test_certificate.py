@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import random
 import sys
+from contextlib import suppress
 from dataclasses import astuple, replace
+from math import floor
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import somos.certificate
@@ -22,6 +24,7 @@ from somos import (
     emit_report_json,
     gcd,
     generate,
+    next_term,
     somos5_spec,
     somos_k_spec,
 )
@@ -441,6 +444,16 @@ def oracle_values(buffer):
     return {n: v.numerator if getattr(v, "denominator", 1) == 1 else v for n, v in buffer.items()}
 
 
+def rational_somos5(initials, count=40):
+    """Somos-5 from initials in rational mode, up to count terms or the first zero divisor."""
+    spec = replace(somos5_spec(), initials=initials)
+    buffer = generate(spec, 5, mode=RATIONAL)
+    with suppress(ZeroDenominatorError):
+        while buffer.next_index < count:
+            next_term(buffer, spec, RATIONAL)
+    return buffer
+
+
 class TestRangeSharesIdentities:
     """certify_range, which shares each recurrence identity along the range
     and takes the residue from the identity at n, builds the certificates
@@ -449,13 +462,14 @@ class TestRangeSharesIdentities:
 
     @staticmethod
     def check(buffer, start, stop, monkeypatch):
-        calls, built, held = [], [], []
+        calls, built, held, facts = [], [], [], []
         build = somos.certificate.build_certificate
 
-        def capture(buffer, n, identities=None):
+        def capture(buffer, n, identities=None, proven=None):
             calls.append(n)
-            built.append(build(buffer, n, identities))
+            built.append(build(buffer, n, identities, proven))
             held.append(len(identities))
+            facts.append(set(proven))
             return built[-1]
 
         monkeypatch.setattr(somos.certificate, "build_certificate", capture)
@@ -474,6 +488,11 @@ class TestRangeSharesIdentities:
         assert calls[: len(built)] == [c.index for c in built]
         assert max(held, default=0) <= 6
         values = oracle_values(buffer)
+        # At most four coprimality facts P(j) are kept, and each is true of the buffer.
+        for proven in facts:
+            assert len(proven) <= 4
+            for j in proven:
+                assert gcd(values[j], values[j - 1]) == gcd(values[j], values[j - 2]) == 1
         for certificate in built:
             assert oracle_layout(certificate) == certificate_oracle(values, certificate.index)
         return ranged, built
@@ -527,6 +546,41 @@ class TestRangeSharesIdentities:
         ranged, built = self.check(buffer, failing + 1, failing + 3, monkeypatch)
         assert ranged[0] is ValueError and built == []
         self.check(buffer, 10, failing + 1, monkeypatch)
+
+    @pytest.mark.parametrize("start", [10, 40, 430])
+    def test_scaled_buffer_fails_on_the_precondition(self, somos5_values, monkeypatch, start):
+        # 3 a_n meets every identity, and 3 divides every precondition gcd.
+        buffer = SequenceBuffer([3 * v for v in somos5_values[:450]])
+        ranged, built = self.check(buffer, start, 450, monkeypatch)
+        assert ranged[4:6] == (False, start)
+        assert ranged[6].startswith("precondition gcd = ")
+        assert all(shift.holds for shift in built[0].shifts)
+
+    @settings(deadline=None, max_examples=150)
+    @given(initials=st.tuples(*[st.integers(-3, 3)] * 5), start=st.integers(10, 30))
+    @example(initials=(-3, -3, -3, 1, 2), start=10)
+    def test_small_initials(self, initials, start):
+        # The rational buffer, and its floor, whose identities break where a term is fractional.
+        buffer = rational_somos5(initials)
+        floored = SequenceBuffer([floor(value) for _, value in buffer.items()])
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.check(buffer, start, buffer.next_index, monkeypatch)
+            self.check(floored, start, floored.next_index, monkeypatch)
+
+    @pytest.mark.parametrize("start", [10, 40])
+    def test_clean_range_computes_only_the_seed_gcds(self, somos5_values, monkeypatch, start):
+        pairs = []
+
+        def count(a, b):
+            pairs.append((a, b))
+            return gcd(a, b)
+
+        monkeypatch.setattr(somos.certificate, "gcd", count)
+        report = certify_range(SequenceBuffer(list(somos5_values[:450])), start, 450)
+        assert (report.passed, report.checked) == (True, 450 - start)
+        # P(j) for j = start-6, start-7, start-8: a_j against a_{j-1} and a_{j-2}.
+        a = somos5_values
+        assert pairs == [(a[j], a[j - i]) for j in range(start - 6, start - 9, -1) for i in (1, 2)]
 
     def test_each_identity_is_evaluated_once_without_a_division(self, somos5_buffer, monkeypatch):
         calls = []
