@@ -10,20 +10,20 @@ validity rests on three facts, all established when it is built:
     lets the multiplier a_{n-8}a_{n-9} be removed again at the end,
   * the residue of the numerator modulo a_{n-5}, which must be zero.
 
-engine._sides, given the Somos-5 spec, is the one statement of the
-recurrence identity; at shift 0 its right-hand side is the numerator.
 Shift s at n is the recurrence at n - s, so along a range each identity
-belongs to five consecutive certificates.  certify_range therefore keeps
-one table from an index j to the (lhs, rhs) of the recurrence at j and
-passes it to build_certificate for each n in order, holding at most six
-entries: the first certificate evaluates its five shifts, and every later
-one reads them.  Where a_n is an integral term of the buffer, the
-certificate also evaluates the recurrence at n, a_n a_{n-5} against the
-numerator it sums anyway, and records it as the next certificate's shift
-1.  Where that identity holds, a_{n-5} divides the numerator by that
-exact equality and the residue is 0; only where it fails, or a_n is
-absent (certify --index N holds a_0 .. a_{N-1}) or fractional, is the
-numerator divided.
+belongs to five consecutive certificates.  certify_range passes
+build_certificate one table from an index j to whether the recurrence
+at j holds, the shape of the record generate(..., record=True) keeps on
+its buffer.  A fact is read from that record, else from the table; one
+in neither is evaluated by engine._identity, the one evaluator, and kept
+in the table, which holds at most six entries.  The recurrence at n also
+settles the residue: where a_n is an integral term of the buffer and
+that identity holds, a_n a_{n-5} equals the numerator exactly and the
+residue is 0.  Only where it fails, or a_n is absent (certify --index N
+holds a_0 .. a_{N-1}) or fractional, is the numerator divided.  So a
+recorded range evaluates no identity, and an unrecorded one evaluates
+each once.  A certificate keeps facts: each shift's lhs and rhs are
+evaluated from the window, by engine._sides, when first read.
 
 Along a range the precondition follows from those same identities, by
 the paper's coprimality induction, which uses Euclid's lemma alone.
@@ -51,9 +51,8 @@ seed P(n-8), P(n-7) and P(n-6).  Where shift 5, which is I_{n-5}, holds
 and those three are proven, build_certificate sets the precondition gcd
 to 1 with no product and no gcd, and records P(n-5) by (1); elsewhere it
 computes the gcd, as a certificate built alone always does.  So a clean
-range forms three products per index, the new identity's, and six gcds
-in all, where building each certificate alone forms eighteen products, a
-gcd and a division.
+recorded range forms no product and six gcds in all, where each
+certificate built alone evaluates six identities and computes a gcd.
 Either route yields the same certificate, field for field.
 
 The eight-step reduction chain displays how these facts combine: it
@@ -83,12 +82,11 @@ ten earlier terms are integral by inspection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
 from .coprime import VerificationReport, first_failure
-from .engine import SequenceBuffer, _divmod, _sides, as_integer, somos5_spec
+from .engine import SequenceBuffer, _divmod, _identity, _sides, as_integer, somos5_spec
 from .errors import IndexOutOfRangeError, ZeroDenominatorError
 
 EXACT_REWRITE = "exact-rewrite"
@@ -101,12 +99,22 @@ _SOMOS5 = somos5_spec()
 
 @dataclass(frozen=True)
 class IndexShiftIdentity:
-    """The recurrence at index n - shift: a_{n-s}a_{n-s-5} = a_{n-s-1}a_{n-s-4} + a_{n-s-2}a_{n-s-3}."""
+    """The recurrence at index n - shift: a_{n-s}a_{n-s-5} = a_{n-s-1}a_{n-s-4} + a_{n-s-2}a_{n-s-3}.
+
+    holds is the fact; window is the certificate's, window[d] = a_{n-d},
+    and lhs and rhs are evaluated from it on first read and cached.
+    """
 
     shift: int
-    lhs: int
-    rhs: int
     holds: bool
+    window: tuple[int, ...] = field(repr=False)
+
+    @cached_property
+    def sides(self) -> tuple[int, int]:
+        return _sides(self.window, _SOMOS5, self.shift)
+
+    lhs = property(lambda self: self.sides[0])
+    rhs = property(lambda self: self.sides[1])
 
 
 @dataclass(frozen=True)
@@ -168,20 +176,21 @@ def _window(buffer: SequenceBuffer, n: int) -> tuple[int, ...]:
     return (0,) + tuple(as_integer(buffer.term(n - d)) for d in range(1, 11))
 
 
-def _shift_identities(t, n: int, identities: dict) -> tuple[IndexShiftIdentity, ...]:
-    """Shifts 5 down to 1 at n over the window t.
+def _holds(buffer: SequenceBuffer, j: int, identities: dict) -> bool:
+    """Whether the recurrence at j holds: read from the buffer's record, else
+    from identities, else evaluated and kept in identities."""
+    holds = (buffer.recorded(_SOMOS5) or {}).get(j, identities.get(j))
+    if holds is None:
+        holds = identities[j] = _identity(buffer, _SOMOS5, j)
+    return holds
 
-    identities maps an index j to the (lhs, rhs) of the recurrence at j;
-    shift s is the entry at n - s, evaluated and recorded when missing.
-    """
-    shifts = []
-    for s in range(5, 0, -1):
-        sides = identities.get(n - s)
-        if sides is None:
-            sides = identities[n - s] = _sides(t, _SOMOS5, s)
-        lhs, rhs = sides
-        shifts.append(IndexShiftIdentity(shift=s, lhs=lhs, rhs=rhs, holds=lhs == rhs))
-    return tuple(shifts)
+
+def _shift_identities(buffer, t, n: int, identities: dict) -> tuple[IndexShiftIdentity, ...]:
+    """Shifts 5 down to 1 at n over the window t; shift s is the fact at n - s."""
+    return tuple(
+        IndexShiftIdentity(shift=s, holds=_holds(buffer, n - s, identities), window=t)
+        for s in range(5, 0, -1)
+    )
 
 
 def check_index_shifts(buffer: SequenceBuffer, n: int) -> tuple[IndexShiftIdentity, ...]:
@@ -189,17 +198,7 @@ def check_index_shifts(buffer: SequenceBuffer, n: int) -> tuple[IndexShiftIdenti
 
     No command calls it; perfbench/trace_cli.py traces it by name.
     """
-    return _shift_identities(_window(buffer, n), n, {})
-
-
-def _integral_term(buffer: SequenceBuffer, n: int) -> int | None:
-    """a_n as an int when the buffer holds it and it is integral, else None."""
-    if not buffer.has_range(n, n):
-        return None
-    value = buffer.term(n)
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else None
-    return value
+    return _shift_identities(buffer, _window(buffer, n), n, {})
 
 
 def _coprime_predecessors(t, n: int) -> set[int]:
@@ -219,13 +218,12 @@ def build_certificate(
     chain is evaluated when it is first read.  Returns the certificate
     whether or not it is valid, so callers can inspect which fact broke.
 
-    identities, when given, maps an index j to the (lhs, rhs) of the
-    recurrence at j over this same buffer, as certify_range keeps it
-    along a range.  Shift s is read from its entry at n - s, and the
-    shifts it lacks are evaluated and recorded.  Where a_n is an integral
-    term of the buffer, the recurrence at n is evaluated too and recorded
-    for n + 1; where it holds, a_n a_{n-5} equals the numerator exactly,
-    so the residue is 0 without a division.
+    Shift s is the recurrence at n - s.  Each such fact is read from the
+    buffer's record, else from identities, which maps an index j to
+    whether the recurrence at j holds over this same buffer, as
+    certify_range keeps it; a fact in neither is evaluated and kept in
+    identities.  Where a_n is an integral term of the buffer and the
+    recurrence at n, read the same way, holds, the residue is 0.
 
     proven, when given, holds the indices j at which P(j) is proven over
     this same buffer (see the module docstring); when it is empty, six
@@ -241,7 +239,7 @@ def build_certificate(
     if identities is None:
         identities = {}
 
-    shifts = _shift_identities(t, n, identities)
+    shifts = _shift_identities(buffer, t, n, identities)
     if proven is not None and not proven:
         proven.update(_coprime_predecessors(t, n))
     if proven and shifts[0].holds and {n - 8, n - 7, n - 6} <= proven:
@@ -249,13 +247,11 @@ def build_certificate(
         proven.add(n - 5)
     else:
         precondition_gcd = gcd(m, t[8] * t[9])
-    term = _integral_term(buffer, n)
-    if term is None:
-        lhs, numerator = _sides(t, _SOMOS5)  # a_n read as t[0] = 0
+    integral = buffer.has_range(n, n) and buffer.term(n).denominator == 1
+    if integral and _holds(buffer, n, identities):
+        numerator_residue = 0  # the numerator equals a_n * m exactly
     else:
-        lhs, numerator = identities[n] = _sides((term,) + t[1:], _SOMOS5)
-    # lhs == numerator shows that numerator = a_n * m exactly, so m divides it.
-    numerator_residue = 0 if lhs == numerator else _divmod(numerator, m)[1]
+        numerator_residue = _divmod(_sides(t, _SOMOS5)[1], m)[1]
     valid = (
         precondition_gcd == 1
         and all(identity.holds for identity in shifts)

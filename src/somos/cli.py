@@ -163,18 +163,16 @@ def cmd_generate(args) -> int:
 def cmd_verify(args) -> int:
     spec = somos_k_spec(args.k)
     _scope_note(spec)
-    identity_holds = None  # a b-file's identities are evaluated in full
     if args.input:
         with open(args.input, "r", encoding="utf-8") as handle:
             parsed = parse_bfile(handle.read())
         buffer = parsed.below(args.count)
         first = parsed.start_index  # the buffer starts at count when the file starts past it
     else:
-        identity_holds = {}  # each generated identity, as the engine checked it
-        buffer = generate(spec, args.count, INTEGER, identity_holds)
+        buffer = generate(spec, args.count, INTEGER, record=True)
         first = buffer.start_index
 
-    report = verify_recurrence_and_windows(buffer, spec, args.depth, identity_holds)
+    report = verify_recurrence_and_windows(buffer, spec, args.depth)
     if report.checked == 0 and args.format == "text":
         start = window_start(first, args.depth)
         print(f"note: range below coprime window start (n = {start}); zero windows")
@@ -200,7 +198,7 @@ def cmd_certify(args) -> int:
             )
         return EXIT_OK if certificate.valid else EXIT_CHECK_FAILED
 
-    buffer = generate(spec, args.count, mode=INTEGER)
+    buffer = generate(spec, args.count, INTEGER, record=True)
     report = certify_range(buffer, CERTIFICATE_START, args.count)
     if report.checked == 0 and args.format == "text":
         print(f"note: range below certificate start (n = {CERTIFICATE_START}); zero certificates")

@@ -224,18 +224,17 @@ def verify_recurrence_and_windows(
     buffer: SequenceBuffer,
     spec: SequenceSpec,
     depth: int = 4,
-    identity_holds: dict[int, bool] | None = None,
 ) -> VerificationReport:
     """Check the recurrence identity of a whole buffer, then its coprime windows.
 
     First first_recurrence_violation checks the identity a_n a_{n-k} =
     sum of a_{n-i} a_{n-j} once, exactly, at every n in [max(start_index
-    + k, k), next_index), on integral and rational terms alike.  It is
-    given identity_holds: on a buffer from generate, the facts next_term
-    recorded as it stepped (one fresh product of each appended term
-    with its divisor, against the sum it divided) are read, not
-    evaluated again; without them, as for a b-file, every index is
-    evaluated.  A violation is reported as a "recurrence-identity"
+    + k, k), next_index), on integral and rational terms alike.  On a
+    buffer from generate(..., record=True), it reads the facts next_term
+    recorded on the buffer as it stepped (one fresh product of each
+    appended term with its divisor, against the sum it divided) instead
+    of evaluating them again; a buffer without a record, as from a
+    b-file, is evaluated at every index.  A violation is reported as a "recurrence-identity"
     failure, and no window runs.  Otherwise the windows run over the
     range verify_coprime_range covers by default, deriving some offsets
     from the identity (below) instead of computing their gcds, and the
@@ -277,7 +276,7 @@ def verify_recurrence_and_windows(
     reach = _derivable_offsets(spec, depth)
     lo = max(buffer.start_index + spec.order, spec.order)
     stop = buffer.next_index
-    violation = first_recurrence_violation(buffer, spec, identity_holds)
+    violation = first_recurrence_violation(buffer, spec)
     if violation is not None:
         # The walk over [lo, violation] only counts: each identity was checked once, above.
         return first_failure(

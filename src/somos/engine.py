@@ -109,11 +109,16 @@ class SequenceBuffer:
     """Indexed history of computed terms.
 
     terms[m] is the sequence value at absolute index start_index + m.
+    Only a buffer from generate(..., record=True) keeps an identity
+    record: identity_holds[n] says whether the identity at n held when
+    next_term appended a_n, for the summands in recurrence.
     """
 
     def __init__(self, terms, start_index: int = 0):
         self._terms = list(terms)
         self._start = int(start_index)
+        self.identity_holds: dict[int, bool] | None = None
+        self.recurrence: tuple[tuple[int, int], ...] | None = None
 
     @property
     def start_index(self) -> int:
@@ -148,12 +153,16 @@ class SequenceBuffer:
     def values(self) -> list[Term]:
         return list(self._terms)
 
+    def recorded(self, spec: SequenceSpec) -> dict[int, bool] | None:
+        """The identity record when it was kept for spec's recurrence, else None."""
+        return self.identity_holds if self.recurrence == spec.summands else None
+
     def below(self, count: int | None) -> SequenceBuffer:
         """The terms at indices n < count, starting at min(start_index, count).
 
         A buffer that starts past count gives an empty buffer at count;
         count None bounds nothing and returns this buffer, and a negative
-        count raises ValueError.
+        count raises ValueError.  A bounded buffer carries no record.
         """
         if count is None:
             return self
@@ -176,12 +185,7 @@ def new_state(spec: SequenceSpec) -> SequenceBuffer:
     return SequenceBuffer(spec.initials, start_index=0)
 
 
-def next_term(
-    buffer: SequenceBuffer,
-    spec: SequenceSpec,
-    mode: str = INTEGER,
-    identity_holds: dict[int, bool] | None = None,
-):
+def next_term(buffer: SequenceBuffer, spec: SequenceSpec, mode: str = INTEGER):
     """Compute the term at buffer.next_index and append it.
 
     Integer mode returns the new term when the division is exact; on a
@@ -194,14 +198,15 @@ def next_term(
     integer numerator decides exactness.  A rational window holding a
     non-integral fraction goes to _fractional_step.
 
-    When the caller passes a dict as identity_holds and the step appends
-    a term a_n from an integral window, the step records
-    identity_holds[n] = (a_n * a_{n-k} == numerator), where numerator is
-    the bilinear sum it has just formed: the recurrence identity at n,
-    exactly as _identity evaluates it on this buffer.  The product is a
-    fresh builtin multiplication of the appended term, so the record
-    does not trust _divmod: a wrong quotient with a zero remainder
-    records False at its index.  Fractional windows record nothing.
+    When the buffer keeps an identity record for spec's recurrence (see
+    generate) and the step appends a term a_n from an integral window,
+    the step records buffer.identity_holds[n] = (a_n * a_{n-k} ==
+    numerator), where numerator is the bilinear sum it has just formed:
+    the recurrence identity at n, exactly as _identity evaluates it on
+    this buffer.  The product is a fresh builtin multiplication of the
+    appended term, so the record does not trust _divmod: a wrong
+    quotient with a zero remainder records False at its index.
+    Fractional windows record nothing.
     """
     if mode not in (INTEGER, RATIONAL):
         raise ValueError(f"unknown mode {mode!r}")
@@ -232,8 +237,9 @@ def next_term(
             value = Fraction(numerator, denominator)
         else:
             return NonIntegralEvent(n, numerator, denominator, remainder)
-        if identity_holds is not None:
-            identity_holds[n] = value * denominator == numerator
+        record = buffer.recorded(spec)
+        if record is not None:
+            record[n] = value * denominator == numerator
         if mode == RATIONAL and not remainder:
             value = Fraction(value)
     buffer.append(value)
@@ -357,22 +363,23 @@ def _div3n2n(
 
 
 def generate(
-    spec: SequenceSpec,
-    count: int,
-    mode: str = INTEGER,
-    identity_holds: dict[int, bool] | None = None,
+    spec: SequenceSpec, count: int, mode: str = INTEGER, record: bool = False
 ) -> SequenceBuffer:
     """Generate terms at indices 0..count-1, for any count >= 0.
 
     A count below the order gives the first count initials, and a
     negative count raises ValueError.  In integer mode the first
     non-exact division aborts the run by raising NonIntegralTermError,
-    which carries the witness event and the partial buffer.
-    identity_holds is passed to every next_term.
+    which carries the witness event and the partial buffer.  With
+    record, the buffer keeps the identity record that next_term fills,
+    at one product per integral step; first_recurrence_violation,
+    verify_recurrence_and_windows and certify_range read it.
     """
     buffer = new_state(spec).below(count)
+    if record:
+        buffer.identity_holds, buffer.recurrence = {}, spec.summands
     while buffer.next_index < count:
-        result = next_term(buffer, spec, mode, identity_holds=identity_holds)
+        result = next_term(buffer, spec, mode)
         if isinstance(result, NonIntegralEvent):
             raise NonIntegralTermError(result, buffer)
     return buffer
@@ -387,21 +394,20 @@ def as_integer(value: Term) -> int:
     return value
 
 
-def first_recurrence_violation(
-    buffer: SequenceBuffer, spec: SequenceSpec, identity_holds: dict[int, bool] | None = None
-):
+def first_recurrence_violation(buffer: SequenceBuffer, spec: SequenceSpec):
     """Check a_n * a_{n-k} == bilinear sum over every covered index.
 
     Returns the first index where the identity fails, or None.  Works on
-    integer and rational buffers alike.  At an index that identity_holds
-    records, the recorded fact is read; every other index is evaluated
-    by _identity.  The record must come from next_term appending those
-    very terms to this buffer (generate(..., identity_holds=d) does);
-    a buffer read from a file passes no record and is evaluated in full.
+    integer and rational buffers alike.  At an index that the buffer's
+    record for spec's recurrence holds, the recorded fact is read; every
+    other index is evaluated by _identity.  next_term writes the record
+    as it appends each term to this very buffer, so a buffer from
+    generate(..., record=True) evaluates nothing, and one read from a
+    file carries no record and is evaluated in full.
     """
     k = spec.order
     lo = max(buffer.start_index + k, k)
-    recorded = identity_holds or {}
+    recorded = buffer.recorded(spec) or {}
     for n in range(lo, buffer.next_index):
         holds = recorded.get(n)
         if holds is None:

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import somos.engine
 from somos import (
     SequenceBuffer,
     SomosError,
@@ -72,3 +73,22 @@ def two_stage_verify():
         )
 
     return run
+
+
+@pytest.fixture
+def wrong_last_quotient(monkeypatch):
+    """Install a step divmod that is off by one, with a zero remainder, at
+    the last of steps calls; monkeypatch.undo() restores the real one."""
+
+    def install(steps):
+        calls = []
+        divmod_ = somos.engine._divmod
+
+        def wrong(a, b):
+            calls.append(None)
+            quotient, remainder = divmod_(a, b)
+            return (quotient + 1, 0) if len(calls) == steps else (quotient, remainder)
+
+        monkeypatch.setattr(somos.engine, "_divmod", wrong)
+
+    return install

@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import somos.certificate
+import somos.engine
 from somos import (
     CERTIFICATE_START,
     RATIONAL,
@@ -30,7 +31,7 @@ from somos import (
 )
 from somos.coprime import first_failure
 from somos.certificate import _chain_lines, _failure_reason
-from somos.engine import _sides
+from somos.engine import _identity, _sides
 
 from helpers import SOMOS_SUMMANDS, certificate_oracle, first_fractional_index, fraction_terms
 
@@ -47,7 +48,7 @@ def oracle_layout(certificate):
         certificate.index,
         certificate.modulus,
         certificate.precondition_gcd,
-        tuple(astuple(identity) for identity in certificate.shifts),
+        tuple((s.shift, s.lhs, s.rhs, s.holds) for s in certificate.shifts),
         chain,
         certificate.numerator_residue,
         valid,
@@ -444,14 +445,27 @@ def oracle_values(buffer):
     return {n: v.numerator if getattr(v, "denominator", 1) == 1 else v for n, v in buffer.items()}
 
 
-def rational_somos5(initials, count=40):
+def rational_somos5(initials, count=40, record=False):
     """Somos-5 from initials in rational mode, up to count terms or the first zero divisor."""
     spec = replace(somos5_spec(), initials=initials)
-    buffer = generate(spec, 5, mode=RATIONAL)
+    buffer = generate(spec, 5, mode=RATIONAL, record=record)
     with suppress(ZeroDenominatorError):
         while buffer.next_index < count:
             next_term(buffer, spec, RATIONAL)
     return buffer
+
+
+def recorded(buffer, identity_holds):
+    """A copy of buffer that carries identity_holds as its Somos-5 identity record."""
+    copy = SequenceBuffer(buffer.values(), buffer.start_index)
+    copy.identity_holds, copy.recurrence = identity_holds, somos5_spec().summands
+    return copy
+
+
+def true_record(buffer):
+    """The value of each Somos-5 identity over the buffer, by index."""
+    lo = max(buffer.start_index + 5, 5)
+    return {n: _identity(buffer, somos5_spec(), n) for n in range(lo, buffer.next_index)}
 
 
 class TestRangeSharesIdentities:
@@ -497,8 +511,17 @@ class TestRangeSharesIdentities:
             assert oracle_layout(certificate) == certificate_oracle(values, certificate.index)
         return ranged, built
 
+    def check_with_record(self, buffer, with_record, start, stop, monkeypatch):
+        """check both buffers, the second holding the same terms and an identity
+        record; they give the same report and the same certificates."""
+        assert with_record.values() == buffer.values() and with_record.identity_holds
+        ranged, built = self.check(buffer, start, stop, monkeypatch)
+        assert self.check(with_record, start, stop, monkeypatch) == (ranged, built)
+        return ranged, built
+
     def test_clean_range(self, somos5_buffer, monkeypatch):
-        ranged, built = self.check(somos5_buffer(450), 10, 450, monkeypatch)
+        generated = generate(somos5_spec(), 450, record=True)
+        ranged, built = self.check_with_record(somos5_buffer(450), generated, 10, 450, monkeypatch)
         assert ranged[3:5] == (440, True) and len(built) == 440
 
     @pytest.mark.parametrize("kind", ["plus-one", "negated", "zeroed"])
@@ -506,8 +529,20 @@ class TestRangeSharesIdentities:
     def test_one_corrupted_term(self, somos5_values, monkeypatch, kind, where):
         values = list(somos5_values[:60])
         values[where] = {"plus-one": values[where] + 1, "negated": -values[where], "zeroed": 0}[kind]
+        buffer = SequenceBuffer(values)
+        # A record of each identity's true value, as a step that made these terms would keep.
+        with_record = recorded(buffer, true_record(buffer))
         for start in (10, where - 3, where + 1, where + 5):
-            self.check(SequenceBuffer(values), max(start, 10), 60, monkeypatch)
+            self.check_with_record(buffer, with_record, max(start, 10), 60, monkeypatch)
+
+    def test_a_wrong_quotient_fails_the_recorded_shift(self, monkeypatch, wrong_last_quotient):
+        wrong_last_quotient(300 - 5)
+        generated = generate(somos5_spec(), 300, record=True)
+        monkeypatch.undo()
+        assert [n for n, holds in generated.identity_holds.items() if not holds] == [299]
+        bare = SequenceBuffer(generated.values())
+        ranged, _ = self.check_with_record(bare, generated, 295, 301, monkeypatch)
+        assert ranged[3:7] == (6, False, 300, "shift identity at offset 1 fails")
 
     def test_zero_modulus_raises_at_the_same_index(self, somos5_values, monkeypatch):
         values = list(somos5_values[:60])
@@ -525,12 +560,15 @@ class TestRangeSharesIdentities:
 
     def test_offset_buffer(self, somos5_values, monkeypatch):
         buffer = SequenceBuffer(list(somos5_values[37:120]), start_index=37)
-        ranged, _ = self.check(buffer, 47, 120, monkeypatch)
+        generated = generate(somos5_spec(), 120, record=True).identity_holds
+        with_record = recorded(buffer, {n: generated[n] for n in range(42, 120)})
+        ranged, _ = self.check_with_record(buffer, with_record, 47, 120, monkeypatch)
         assert ranged[3:5] == (73, True)
 
     def test_rational_somos5_buffer(self, monkeypatch):
         buffer = generate(somos5_spec(), 120, mode=RATIONAL)
-        ranged, built = self.check(buffer, 10, 120, monkeypatch)
+        generated = generate(somos5_spec(), 120, mode=RATIONAL, record=True)
+        ranged, built = self.check_with_record(buffer, generated, 10, 120, monkeypatch)
         assert ranged[3:5] == (110, True)
         assert built == [build_certificate(generate(somos5_spec(), 120), n) for n in range(10, 120)]
 
@@ -560,11 +598,16 @@ class TestRangeSharesIdentities:
     @given(initials=st.tuples(*[st.integers(-3, 3)] * 5), start=st.integers(10, 30))
     @example(initials=(-3, -3, -3, 1, 2), start=10)
     def test_small_initials(self, initials, start):
-        # The rational buffer, and its floor, whose identities break where a term is fractional.
+        # The rational buffer, with and without the record its steps keep, and
+        # its floor, whose identities break where a term is fractional.
         buffer = rational_somos5(initials)
         floored = SequenceBuffer([floor(value) for _, value in buffer.items()])
         with pytest.MonkeyPatch.context() as monkeypatch:
-            self.check(buffer, start, buffer.next_index, monkeypatch)
+            with_record = rational_somos5(initials, record=True)
+            if with_record.identity_holds:
+                self.check_with_record(buffer, with_record, start, buffer.next_index, monkeypatch)
+            else:
+                self.check(buffer, start, buffer.next_index, monkeypatch)
             self.check(floored, start, floored.next_index, monkeypatch)
 
     @pytest.mark.parametrize("start", [10, 40])
@@ -582,23 +625,37 @@ class TestRangeSharesIdentities:
         a = somos5_values
         assert pairs == [(a[j], a[j - i]) for j in range(start - 6, start - 9, -1) for i in (1, 2)]
 
-    def test_each_identity_is_evaluated_once_without_a_division(self, somos5_buffer, monkeypatch):
-        calls = []
-        sides = somos.certificate._sides
+    @staticmethod
+    def _evaluated_identities(monkeypatch):
+        # The indices certificate._identity is called at, in order; the
+        # certificate's own _sides and _divmod refuse to run.
+        evaluated = []
+        identity = somos.certificate._identity
 
-        def count(t, spec, s=0):
-            calls.append(s)
-            return sides(t, spec, s)
+        def refuse(*args):
+            raise AssertionError("evaluated outside _identity")
 
-        def refuse(a, b):
-            raise AssertionError("residue divided")
-
-        monkeypatch.setattr(somos.certificate, "_sides", count)
+        monkeypatch.setattr(
+            somos.certificate, "_identity", lambda b, s, n: evaluated.append(n) or identity(b, s, n)
+        )
+        monkeypatch.setattr(somos.certificate, "_sides", refuse)
         monkeypatch.setattr(somos.certificate, "_divmod", refuse)
+        return evaluated
+
+    def test_each_identity_is_evaluated_once_without_a_division(self, somos5_buffer, monkeypatch):
+        evaluated = self._evaluated_identities(monkeypatch)
         report = certify_range(somos5_buffer(450), 10, 450)
         assert (report.passed, report.checked) == (True, 440)
         # The first certificate's five shifts, then the identity at each n.
-        assert calls == [5, 4, 3, 2, 1] + [0] * 440
+        assert evaluated == list(range(5, 450))
+
+    def test_a_recorded_range_evaluates_no_identity(self, monkeypatch):
+        buffer = generate(somos5_spec(), 450, record=True)
+        evaluated = self._evaluated_identities(monkeypatch)
+        monkeypatch.setattr(somos.engine, "_sides", somos.certificate._sides)  # refuses
+        report = certify_range(buffer, 10, 450)
+        assert (report.passed, report.checked) == (True, 440)
+        assert evaluated == []
 
     def test_at_index_past_the_buffer_the_residue_is_divided(self, somos5_buffer, monkeypatch):
         divisions = []

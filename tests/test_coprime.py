@@ -478,32 +478,18 @@ class TestOnePassVerify:
         assert capsys.readouterr().out == "coprime-window over n in [4, 300): 296 checked, pass\n"
         assert evaluated == []
 
-    @staticmethod
-    def _wrong_last_quotient(monkeypatch, steps):
-        # The step's divmod, off by one with a zero remainder at the last of steps calls.
-        calls = []
-        divmod_ = somos.engine._divmod
-
-        def wrong(a, b):
-            calls.append(None)
-            quotient, remainder = divmod_(a, b)
-            return (quotient + 1, 0) if len(calls) == steps else (quotient, remainder)
-
-        monkeypatch.setattr(somos.engine, "_divmod", wrong)
-
-    def test_a_wrong_quotient_fails_the_recorded_identity(self, monkeypatch):
+    def test_a_wrong_quotient_fails_the_recorded_identity(self, monkeypatch, wrong_last_quotient):
         spec = somos5_spec()
-        identity_holds = {}
-        self._wrong_last_quotient(monkeypatch, 300 - 5)
-        buffer = generate(spec, 300, identity_holds=identity_holds)
+        wrong_last_quotient(300 - 5)
+        buffer = generate(spec, 300, record=True)
         monkeypatch.undo()
-        assert [n for n, holds in identity_holds.items() if not holds] == [299]
-        report = verify_recurrence_and_windows(buffer, spec, identity_holds=identity_holds)
+        assert [n for n, holds in buffer.identity_holds.items() if not holds] == [299]
+        report = verify_recurrence_and_windows(buffer, spec)
         assert (report.check, report.first_failure_index) == ("recurrence-identity", 299)
-        assert report == verify_recurrence_and_windows(buffer, spec)
+        assert report == verify_recurrence_and_windows(SequenceBuffer(buffer.values()), spec)
 
-    def test_verify_exits_1_on_a_wrong_quotient(self, monkeypatch, capsys):
-        self._wrong_last_quotient(monkeypatch, 300 - 5)
+    def test_verify_exits_1_on_a_wrong_quotient(self, wrong_last_quotient, capsys):
+        wrong_last_quotient(300 - 5)
         assert main(["verify", "--count", "300"]) == 1
         assert capsys.readouterr().out == (
             "recurrence-identity over n in [5, 300): 295 checked, FAIL; "
