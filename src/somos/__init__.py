@@ -25,7 +25,6 @@ from .coprime import (
     check_lemma_pairwise,
     check_lemma_product,
     check_lemma_shift,
-    gcd,
     run_lemma_harness,
     verify_coprime_range,
     verify_coprime_window,
@@ -104,7 +103,6 @@ __all__ = [
     "emit_report_json",
     "emit_terms_json",
     "first_recurrence_violation",
-    "gcd",
     "generate",
     "new_state",
     "next_term",

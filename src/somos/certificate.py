@@ -26,34 +26,16 @@ each once.  A certificate keeps facts: each shift's lhs and rhs are
 evaluated from the window, by engine._sides, when first read.
 
 Along a range the precondition follows from those same identities, by
-the paper's coprimality induction, which uses Euclid's lemma alone.
-Write I_m for the recurrence at m, a_m a_{m-5} = a_{m-1}a_{m-4} +
-a_{m-2}a_{m-3}, and P(j) for gcd(a_j, a_{j-1}) = gcd(a_j, a_{j-2}) = 1.
-
-  (1) I_m, P(m-1) and P(m-2) give P(m).  A prime dividing a_m and
-      a_{m-1} divides a_{m-2}a_{m-3} by I_m, yet P(m-1) makes a_{m-1}
-      prime to both factors.  A prime dividing a_m and a_{m-2} divides
-      a_{m-1}a_{m-4}, yet a_{m-2} is prime to a_{m-1} by P(m-1) and to
-      a_{m-4} by P(m-2).
-  (2) I_m, P(m-1), P(m-2) and P(m-3) give gcd(a_m, a_{m-3}) =
-      gcd(a_m, a_{m-4}) = 1.  A prime dividing a_m and a_{m-3} divides
-      a_{m-1}a_{m-4}, yet a_{m-3} is prime to a_{m-1} by P(m-1) and to
-      a_{m-4} by P(m-3).  A prime dividing a_m and a_{m-4} divides
-      a_{m-2}a_{m-3}, yet a_{m-4} is prime to a_{m-2} by P(m-2) and to
-      a_{m-3} by P(m-3).
-
-At m = n-5, (2) and the product lemma give the precondition at n.  Both
-hold for zero and negative terms, since gcd = 1 says exactly that no
-prime divides both.  So certify_range keeps, next to its identities, the
-set of j where P(j) is proven, at most four entries.  Six gcds over the
-window of its first certificate, or of any that finds the set empty,
-seed P(n-8), P(n-7) and P(n-6).  Where shift 5, which is I_{n-5}, holds
-and those three are proven, build_certificate sets the precondition gcd
-to 1 with no product and no gcd, and records P(n-5) by (1); elsewhere it
-computes the gcd, as a certificate built alone always does.  So a clean
-recorded range forms no product and six gcds in all, where each
-certificate built alone evaluates six identities and computes a gcd.
-Either route yields the same certificate, field for field.
+the coprimality rule of coprime.derived_offsets, whose docstring proves
+it.  certify_range keeps the rule's facts: index j -> the offsets d with
+gcd(a_j, a_{j-d}) = 1 proven, for j in n-8 .. n-5.  Six gcds over the
+window of its first certificate, or of any that finds the store empty,
+put offsets 1 and 2 at n-8, n-7 and n-6.  Where shift 5 holds,
+build_certificate stores the offsets the rule derives at n-5; offsets 3
+and 4 there give the precondition gcd 1 by the product lemma, with no
+product and no gcd.  Elsewhere, and in a certificate built alone, the
+gcd is computed.  So a clean recorded range forms no product and six
+gcds in all, and both routes yield the same certificate, field for field.
 
 The eight-step reduction chain displays how these facts combine: it
 multiplies the numerator by a_{n-8}a_{n-9}, rewrites it with the shift
@@ -86,6 +68,7 @@ from functools import cached_property
 from math import gcd
 
 from .coprime import VerificationReport, first_failure
+from .coprime import coprimality_rule, derived_offsets
 from .engine import SequenceBuffer, _divmod, _identity, _sides, as_integer, somos5_spec
 from .errors import IndexOutOfRangeError, ZeroDenominatorError
 
@@ -95,6 +78,7 @@ DROP_MULTIPLE = "drop-multiple"
 CERTIFICATE_START = 10
 
 _SOMOS5 = somos5_spec()
+_RULE = coprimality_rule(_SOMOS5)
 
 
 @dataclass(frozen=True)
@@ -158,7 +142,8 @@ class DivisibilityCertificate:
         return _evaluate_chain(self.window)
 
 
-def _require_window(buffer: SequenceBuffer, n: int) -> None:
+def _window(buffer: SequenceBuffer, n: int) -> tuple[int, ...]:
+    """t with t[d] = a_{n-d} for d = 1..10; t[0] is unused."""
     if n < CERTIFICATE_START:
         raise IndexOutOfRangeError(
             f"certificates start at n = {CERTIFICATE_START}, got n = {n}"
@@ -168,11 +153,6 @@ def _require_window(buffer: SequenceBuffer, n: int) -> None:
             f"certificate at n = {n} needs indices {n - 10}..{n - 1}, buffer holds "
             f"[{buffer.start_index}, {buffer.next_index})"
         )
-
-
-def _window(buffer: SequenceBuffer, n: int) -> tuple[int, ...]:
-    """t with t[d] = a_{n-d} for d = 1..10; t[0] is unused."""
-    _require_window(buffer, n)
     return (0,) + tuple(as_integer(buffer.term(n - d)) for d in range(1, 11))
 
 
@@ -201,16 +181,11 @@ def check_index_shifts(buffer: SequenceBuffer, n: int) -> tuple[IndexShiftIdenti
     return _shift_identities(buffer, _window(buffer, n), n, {})
 
 
-def _coprime_predecessors(t, n: int) -> set[int]:
-    """The j in n-8 .. n-6 where P(j) holds over the window t, by two gcds each."""
-    return {n - d for d in (6, 7, 8) if gcd(t[d], t[d + 1]) == 1 and gcd(t[d], t[d + 2]) == 1}
-
-
 def build_certificate(
     buffer: SequenceBuffer,
     n: int,
     identities: dict | None = None,
-    proven: set | None = None,
+    proven: dict | None = None,
 ) -> DivisibilityCertificate:
     """Check the facts the certificate at index n rests on.
 
@@ -225,12 +200,9 @@ def build_certificate(
     identities.  Where a_n is an integral term of the buffer and the
     recurrence at n, read the same way, holds, the residue is 0.
 
-    proven, when given, holds the indices j at which P(j) is proven over
-    this same buffer (see the module docstring); when it is empty, six
-    gcds over the window seed it.  Where shift 5 holds and P(n-6),
-    P(n-7) and P(n-8) are proven, the precondition gcd is 1 without a
-    gcd, and P(n-5) is recorded.  Otherwise, and always when proven is
-    None, the gcd is computed.
+    proven, when given, is certify_range's store of coprimality facts
+    over this same buffer (see the module docstring); without it, the
+    precondition gcd is computed.
     """
     t = _window(buffer, n)
     m = t[5]
@@ -240,13 +212,15 @@ def build_certificate(
         identities = {}
 
     shifts = _shift_identities(buffer, t, n, identities)
-    if proven is not None and not proven:
-        proven.update(_coprime_predecessors(t, n))
-    if proven and shifts[0].holds and {n - 8, n - 7, n - 6} <= proven:
-        precondition_gcd = 1
-        proven.add(n - 5)
-    else:
-        precondition_gcd = gcd(m, t[8] * t[9])
+    derived = frozenset()
+    if proven is not None:
+        if not proven:
+            for d in (6, 7, 8):
+                proven[n - d] = {i for i in (1, 2) if gcd(t[d], t[d + i]) == 1}
+        if shifts[0].holds:
+            derived = derived_offsets(_RULE, n - 5, lambda j, d: d in proven.get(j, ()))
+            proven[n - 5] = derived
+    precondition_gcd = 1 if {3, 4} <= derived else gcd(m, t[8] * t[9])
     integral = buffer.has_range(n, n) and buffer.term(n).denominator == 1
     if integral and _holds(buffer, n, identities):
         numerator_residue = 0  # the numerator equals a_n * m exactly
@@ -334,11 +308,11 @@ def certify_range(
         start = max(CERTIFICATE_START, buffer.start_index + 10)
     if stop is None:
         stop = buffer.next_index
-    identities, proven = {}, set()
+    identities, proven = {}, {}
 
     def failure_at(n):
         identities.pop(n - 6, None)  # keeps the recurrences at n - 5 .. n
-        proven.discard(n - 9)  # keeps P at n - 8 .. n - 5
+        proven.pop(n - 9, None)  # keeps the facts at n - 8 .. n - 5
         return _failure_reason(build_certificate(buffer, n, identities, proven))
 
     return first_failure("certificate", start, stop, failure_at)

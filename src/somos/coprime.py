@@ -237,43 +237,26 @@ def verify_recurrence_and_windows(
     b-file, is evaluated at every index.  A violation is reported as a "recurrence-identity"
     failure, and no window runs.  Otherwise the windows run over the
     range verify_coprime_range covers by default, deriving some offsets
-    from the identity (below) instead of computing their gcds, and the
-    result is exactly that of verify_coprime_range(buffer, depth).
+    by the rule of derived_offsets instead of computing their gcds, and
+    the result is exactly that of verify_coprime_range(buffer, depth).
 
-    A window at n derives gcd(a_n, a_{n-o}) = 1 for an offset o from
-    the identity at n, which the first pass has proven.  Let o < k and
-    let (i, j) be the only summand of the spec that does not contain o.
-    A prime p dividing a_n and a_{n-o} divides the left side and every
-    summand holding a_{n-o}, so it divides a_{n-i} a_{n-j}, hence
-    a_{n-i} or a_{n-j}.  It then divides
-    both terms of the pair (a_{n-o}, a_{n-i}) or (a_{n-o}, a_{n-j}).
-    The window at n - min(o, i) holds the first pair at offset |o - i|,
-    and likewise for j.  When both offsets are in 1..depth and both
-    windows lie in the range, they have passed, since no window is run
-    after the first failure; so no such p exists.  Zero is divisible by
-    every prime, so the argument covers zero terms too.  Every derived
-    offset therefore passes, and each window failure comes from a
-    computed gcd.
-
-    The argument is about integers, and a window derives only where
-    a_{n-k} .. a_n have all been made integers.  Its own term a_n is,
-    before any gcd.  Each of a_{n-k} .. a_{n-1} lies in
-    [max(start_index, 0), n): it is the own term of an earlier window,
-    or one of the depth terms before the range, which the first window
-    holds and, deriving nothing, converts.  All those windows have
-    passed, and a term that is not integral raises where it is
-    converted, as it does in verify_coprime_range.  Which offsets
-    qualify follows from spec.summands.  For Somos-5 at depth 2 or
-    more, every offset up to min(depth, 4) is derived from the fourth
-    window of the range on, and offsets from 5 on are always computed.
-    Somos-6 and Somos-7 have no qualifying offset, since each offset
-    misses at least two of their summands.
+    The window at n applies the rule at n, where the first pass proved
+    the identity, with the facts (j, d) for j in [start, n) and d in
+    1..depth: the window at j has passed, since no window runs after the
+    first failure.  So each window failure comes from a computed gcd.
+    The terms a_{n-k} .. a_n are integers by then: a_n is converted
+    before any gcd, and each earlier one is the own term of a window
+    that passed, or one of the depth terms before the range, which the
+    first window, deriving nothing, converts; a term that is not
+    integral raises there, as in verify_coprime_range.  For Somos-5 at
+    depth 2 or more, offsets 1 .. min(depth, 4) are derived from the
+    fourth window of the range on.
 
     A depth below 1 is refused after the identity pass and before the
     first window, so even a range with no window raises ValueError
     when the identity holds.
     """
-    reach = _derivable_offsets(spec, depth)
+    rule = coprimality_rule(spec)
     lo = max(buffer.start_index + spec.order, spec.order)
     stop = buffer.next_index
     violation = first_recurrence_violation(buffer, spec)
@@ -289,7 +272,7 @@ def verify_recurrence_and_windows(
     start = window_start(buffer.start_index, depth)
 
     def window_failure(n):
-        proven = frozenset(o for o, back in reach.items() if n >= lo and n - back >= start)
+        proven = derived_offsets(rule, n, lambda j, d: n >= lo and j >= start and d <= depth)
         return _window_reason(verify_coprime_window(buffer, n, depth, proven))
 
     return first_failure("coprime-window", start, stop, window_failure)
@@ -306,14 +289,39 @@ def _window_reason(report: CoprimeWindowReport) -> str | None:
     return f"gcd(a_{n}, a_{n - offender}) = {to_decimal(report.gcds[offender - 1])}"
 
 
-def _derivable_offsets(spec: SequenceSpec, depth: int) -> dict[int, int]:
-    """Offsets o that verify_recurrence_and_windows may derive, each mapped
-    to how many indices back its farther hypothesis window sits."""
-    spec.validate()
-    reach = {}
-    for o in range(1, min(depth, spec.order - 1) + 1):
-        avoiding = [pair for pair in spec.summands if o not in pair]
-        if len(avoiding) == 1 and all(1 <= abs(o - x) <= depth for x in avoiding[0]):
-            reach[o] = max(min(o, x) for x in avoiding[0])
-    return reach
+def coprimality_rule(spec: SequenceSpec) -> dict[int, tuple[tuple[int, int], ...]]:
+    """The rule derived_offsets applies for spec: each offset o < k that
+    exactly one summand (i, j) avoids, mapped to its two facts
+    (min(o, x), |o - x|) for x = i, j, as (indices back from m, offset).
 
+    Somos-5 gives {1: ((1, 1), (1, 2)), 2: ((1, 1), (2, 2)), 3: ((1, 2),
+    (3, 1)), 4: ((2, 2), (3, 1))}.  Somos-6 and Somos-7 give {}, since
+    each offset misses at least two of their summands.
+    """
+    spec.validate()
+    rule = {}
+    for o in range(1, spec.order):
+        avoiding = [pair for pair in spec.summands if o not in pair]
+        if len(avoiding) == 1:
+            rule[o] = tuple((min(o, x), abs(o - x)) for x in avoiding[0])
+    return rule
+
+
+def derived_offsets(rule: dict, m: int, known) -> frozenset[int]:
+    """The offsets o of rule at which the identity at m gives gcd(a_m, a_{m-o}) = 1,
+    from two facts that known(j, d) confirms, each meaning gcd(a_j, a_{j-d}) = 1.
+
+    This is the paper's coprimality induction (Crabb's method), with
+    Euclid's lemma as its only tool.  The caller has proven the identity
+    a_m a_{m-k} = sum of a_{m-i} a_{m-j} over integers a_{m-k} .. a_m,
+    and known confirms only true facts.  Let (i, j) be the only summand
+    that does not contain o.  A prime p dividing a_m and a_{m-o} divides
+    the left side and every summand holding a_{m-o}, so it divides
+    a_{m-i} a_{m-j}, hence a_{m-x} for x = i or j.  Then p divides both
+    a_{m-o} and a_{m-x}, the terms of the fact (m - min(o, x), |o - x|),
+    which is confirmed, so no such p exists.  Zero is divisible by every
+    prime, and gcd = 1 says exactly that no prime divides both, so the
+    argument covers zero and negative terms.  It is about integers, so
+    the caller makes a_{m-k} .. a_m integers first.
+    """
+    return frozenset(o for o, facts in rule.items() if all(known(m - b, d) for b, d in facts))

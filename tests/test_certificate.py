@@ -4,7 +4,7 @@ import random
 import sys
 from contextlib import suppress
 from dataclasses import astuple, replace
-from math import floor
+from math import floor, gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -23,7 +23,6 @@ from somos import (
     certify_range,
     check_index_shifts,
     emit_report_json,
-    gcd,
     generate,
     next_term,
     somos5_spec,
@@ -483,7 +482,7 @@ class TestRangeSharesIdentities:
             calls.append(n)
             built.append(build(buffer, n, identities, proven))
             held.append(len(identities))
-            facts.append(set(proven))
+            facts.append({j: set(offsets) for j, offsets in proven.items()})
             return built[-1]
 
         monkeypatch.setattr(somos.certificate, "build_certificate", capture)
@@ -502,11 +501,12 @@ class TestRangeSharesIdentities:
         assert calls[: len(built)] == [c.index for c in built]
         assert max(held, default=0) <= 6
         values = oracle_values(buffer)
-        # At most four coprimality facts P(j) are kept, and each is true of the buffer.
+        # Facts are kept at no more than four indices, and each is true of the buffer.
         for proven in facts:
             assert len(proven) <= 4
-            for j in proven:
-                assert gcd(values[j], values[j - 1]) == gcd(values[j], values[j - 2]) == 1
+            for j, offsets in proven.items():
+                for d in offsets:
+                    assert gcd(values[j], values[j - d]) == 1
         for certificate in built:
             assert oracle_layout(certificate) == certificate_oracle(values, certificate.index)
         return ranged, built
@@ -621,7 +621,7 @@ class TestRangeSharesIdentities:
         monkeypatch.setattr(somos.certificate, "gcd", count)
         report = certify_range(SequenceBuffer(list(somos5_values[:450])), start, 450)
         assert (report.passed, report.checked) == (True, 450 - start)
-        # P(j) for j = start-6, start-7, start-8: a_j against a_{j-1} and a_{j-2}.
+        # Offsets 1 and 2 at j = start-6, start-7, start-8: a_j against a_{j-1} and a_{j-2}.
         a = somos5_values
         assert pairs == [(a[j], a[j - i]) for j in range(start - 6, start - 9, -1) for i in (1, 2)]
 

@@ -3,7 +3,9 @@ from __future__ import annotations
 import math
 import random
 import sys
+from contextlib import suppress
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -23,7 +25,6 @@ from somos import (
     check_lemma_pairwise,
     check_lemma_product,
     check_lemma_shift,
-    gcd,
     generate,
     parse_bfile,
     run_lemma_harness,
@@ -281,10 +282,42 @@ class TestDerivedWindows:
         assert len(calls) == 4 + 3 + 2
 
     def test_orders_without_a_lone_avoiding_summand_compute_every_gcd(self):
-        assert somos.coprime._derivable_offsets(somos_k_spec(5), 6) == {1: 1, 2: 2, 3: 3, 4: 3}
-        assert somos.coprime._derivable_offsets(somos_k_spec(4), 1) == {1: 1}
+        rule = somos.coprime.coprimality_rule
+        assert rule(somos_k_spec(5)) == {
+            1: ((1, 1), (1, 2)),
+            2: ((1, 1), (2, 2)),
+            3: ((1, 2), (3, 1)),
+            4: ((2, 2), (3, 1)),
+        }
+        somos4 = {1: ((1, 1), (1, 1)), 2: ((1, 1), (2, 1)), 3: ((2, 1), (2, 1))}
+        assert rule(somos_k_spec(4)) == somos4
         for k in (6, 7):
-            assert somos.coprime._derivable_offsets(somos_k_spec(k), 6) == {}
+            assert rule(somos_k_spec(k)) == {}
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        k=st.integers(min_value=4, max_value=5),
+        initials=st.lists(st.integers(min_value=-6, max_value=6), min_size=5, max_size=5),
+    )
+    def test_rule_derives_only_true_facts(self, k, initials):
+        # The rule fed direct gcd facts, at every integral index where the
+        # identity holds: each offset it derives has a direct gcd of 1.
+        spec = SequenceSpec(order=k, summands=SOMOS_SUMMANDS[k], initials=initials[:k])
+        buffer = generate(spec, k, RATIONAL)
+        with suppress(ZeroDenominatorError):  # keep the terms before a zero divisor
+            while buffer.next_index < 30:
+                somos.engine.next_term(buffer, spec, RATIONAL)
+        terms = {n: v.numerator for n, v in buffer.items() if v.denominator == 1}
+
+        def known(j, d):
+            return j in terms and j - d in terms and gcd(terms[j], terms[j - d]) == 1
+
+        rule = somos.coprime.coprimality_rule(spec)
+        for m in range(k, buffer.next_index):
+            integral = all(n in terms for n in range(m - k, m + 1))
+            if integral and somos.engine._identity(buffer, spec, m):
+                for o in somos.coprime.derived_offsets(rule, m, known):
+                    assert gcd(terms[m], terms[m - o]) == 1
 
     @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
     def test_one_corrupted_term(self, two_stage_verify, somos5_values, kind):

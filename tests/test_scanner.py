@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from math import gcd
+
 import pytest
 
 from somos import (
@@ -8,7 +10,6 @@ from somos import (
     SequenceSpec,
     ZeroDenominatorError,
     certify_range,
-    gcd,
     scan_coprimality,
     scan_integrality,
     somos5_spec,
