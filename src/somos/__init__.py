@@ -42,6 +42,7 @@ from .engine import (
     new_state,
     next_term,
     somos5_spec,
+    somos_k_spec,
 )
 from .errors import (
     GapError,
@@ -63,7 +64,6 @@ from .scanner import (
     NoncoprimeWitness,
     scan_coprimality,
     scan_integrality,
-    somos_k_spec,
 )
 
 __version__ = "0.1.0"

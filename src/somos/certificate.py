@@ -11,19 +11,20 @@ validity rests on three facts, all established when it is built:
   * the residue of the numerator modulo a_{n-5}, which must be zero.
 
 Shift s at n is the recurrence at n - s, so along a range each identity
-belongs to five consecutive certificates.  certify_range passes
-build_certificate one table from an index j to whether the recurrence
-at j holds, the shape of the record generate(..., record=True) keeps on
-its buffer.  A fact is read from that record, else from the table; one
-in neither is evaluated by engine._identity, the one evaluator, and kept
-in the table, which holds at most six entries.  The recurrence at n also
-settles the residue: where a_n is an integral term of the buffer and
-that identity holds, a_n a_{n-5} equals the numerator exactly and the
-residue is 0.  Only where it fails, or a_n is absent (certify --index N
-holds a_0 .. a_{N-1}) or fractional, is the numerator divided.  So a
-recorded range evaluates no identity, and an unrecorded one evaluates
-each once.  A certificate keeps facts: each shift's lhs and rhs are
-evaluated from the window, by engine._sides, when first read.
+belongs to five consecutive certificates.  A certificate reads them from
+one map, index j -> whether the recurrence at j holds over its buffer,
+whose every entry comes from engine.recurrence_holds: the record
+generate(..., record=True) keeps on the buffer, else engine._identity.
+certify_range fills one map over its whole range before its first
+certificate and hands that same map to each; a certificate built alone
+fills its own over n-5 .. n.  The recurrence at n also settles the
+residue: where a_n is an integral term of the buffer and that identity
+holds, a_n a_{n-5} equals the numerator exactly and the residue is 0.
+Only where it fails, or a_n is absent (certify --index N holds a_0 ..
+a_{N-1}) or fractional, is the numerator divided.  So a recorded range
+evaluates no identity, and an unrecorded one evaluates each once.  A
+certificate keeps facts: each shift's lhs and rhs are evaluated from the
+window, by engine._sides, when first read.
 
 Along a range the precondition follows from those same identities, by
 the coprimality rule of coprime.derived_offsets, whose docstring proves
@@ -69,7 +70,8 @@ from math import gcd
 
 from .coprime import VerificationReport, first_failure
 from .coprime import coprimality_rule, derived_offsets
-from .engine import SequenceBuffer, _divmod, _identity, _sides, as_integer, somos5_spec
+from .engine import SequenceBuffer, _divmod, _sides, as_integer, recurrence_holds, somos5_spec
+from .engine import window_start
 from .errors import IndexOutOfRangeError, ZeroDenominatorError
 
 EXACT_REWRITE = "exact-rewrite"
@@ -156,20 +158,17 @@ def _window(buffer: SequenceBuffer, n: int) -> tuple[int, ...]:
     return (0,) + tuple(as_integer(buffer.term(n - d)) for d in range(1, 11))
 
 
-def _holds(buffer: SequenceBuffer, j: int, identities: dict) -> bool:
-    """Whether the recurrence at j holds: read from the buffer's record, else
-    from identities, else evaluated and kept in identities."""
-    holds = (buffer.recorded(_SOMOS5) or {}).get(j, identities.get(j))
-    if holds is None:
-        holds = identities[j] = _identity(buffer, _SOMOS5, j)
-    return holds
+def _identities(buffer: SequenceBuffer, lo: int, stop: int) -> dict[int, bool]:
+    """j -> whether the recurrence at j holds, for each j in [lo, stop) whose
+    identity's terms a_{j-5} .. a_j the buffer holds."""
+    covered = range(max(lo, window_start(buffer.start_index, 5)), min(stop, buffer.next_index))
+    return {j: recurrence_holds(buffer, _SOMOS5, j) for j in covered}
 
 
-def _shift_identities(buffer, t, n: int, identities: dict) -> tuple[IndexShiftIdentity, ...]:
+def _shift_identities(t, n: int, identities: dict) -> tuple[IndexShiftIdentity, ...]:
     """Shifts 5 down to 1 at n over the window t; shift s is the fact at n - s."""
     return tuple(
-        IndexShiftIdentity(shift=s, holds=_holds(buffer, n - s, identities), window=t)
-        for s in range(5, 0, -1)
+        IndexShiftIdentity(shift=s, holds=identities[n - s], window=t) for s in range(5, 0, -1)
     )
 
 
@@ -178,7 +177,7 @@ def check_index_shifts(buffer: SequenceBuffer, n: int) -> tuple[IndexShiftIdenti
 
     No command calls it; perfbench/trace_cli.py traces it by name.
     """
-    return _shift_identities(buffer, _window(buffer, n), n, {})
+    return _shift_identities(_window(buffer, n), n, _identities(buffer, n - 5, n))
 
 
 def build_certificate(
@@ -193,12 +192,12 @@ def build_certificate(
     chain is evaluated when it is first read.  Returns the certificate
     whether or not it is valid, so callers can inspect which fact broke.
 
-    Shift s is the recurrence at n - s.  Each such fact is read from the
-    buffer's record, else from identities, which maps an index j to
-    whether the recurrence at j holds over this same buffer, as
-    certify_range keeps it; a fact in neither is evaluated and kept in
-    identities.  Where a_n is an integral term of the buffer and the
-    recurrence at n, read the same way, holds, the residue is 0.
+    identities maps an index j to whether the recurrence at j holds over
+    this same buffer; it is read, never written.  It must hold n - 5 ..
+    n - 1, for shifts 5 .. 1, and n wherever a_n is in the buffer.
+    certify_range passes one map for its whole range; without it, the
+    certificate fills its own over n - 5 .. n.  Where a_n is an integral
+    term of the buffer and the recurrence at n holds, the residue is 0.
 
     proven, when given, is certify_range's store of coprimality facts
     over this same buffer (see the module docstring); without it, the
@@ -209,9 +208,9 @@ def build_certificate(
     if m == 0:
         raise ZeroDenominatorError(n - 5, f"chain modulus a_{n - 5} is zero")
     if identities is None:
-        identities = {}
+        identities = _identities(buffer, n - 5, n + 1)
 
-    shifts = _shift_identities(buffer, t, n, identities)
+    shifts = _shift_identities(t, n, identities)
     derived = frozenset()
     if proven is not None:
         if not proven:
@@ -221,8 +220,7 @@ def build_certificate(
             derived = derived_offsets(_RULE, n - 5, lambda j, d: d in proven.get(j, ()))
             proven[n - 5] = derived
     precondition_gcd = 1 if {3, 4} <= derived else gcd(m, t[8] * t[9])
-    integral = buffer.has_range(n, n) and buffer.term(n).denominator == 1
-    if integral and _holds(buffer, n, identities):
+    if identities.get(n) and buffer.term(n).denominator == 1:
         numerator_residue = 0  # the numerator equals a_n * m exactly
     else:
         numerator_residue = _divmod(_sides(t, _SOMOS5)[1], m)[1]
@@ -305,13 +303,13 @@ def certify_range(
     A start past stop is clamped to stop, so an empty range reads [stop, stop).
     """
     if start is None:
-        start = max(CERTIFICATE_START, buffer.start_index + 10)
+        start = window_start(buffer.start_index, CERTIFICATE_START)
     if stop is None:
         stop = buffer.next_index
-    identities, proven = {}, {}
+    identities = _identities(buffer, start - 5, stop)  # shift 5 at start .. the residue at stop - 1
+    proven = {}
 
     def failure_at(n):
-        identities.pop(n - 6, None)  # keeps the recurrences at n - 5 .. n
         proven.pop(n - 9, None)  # keeps the facts at n - 8 .. n - 5
         return _failure_reason(build_certificate(buffer, n, identities, proven))
 

@@ -21,9 +21,8 @@ from .coprime import (
     first_failure,
     run_lemma_harness,
     verify_recurrence_and_windows,
-    window_start,
 )
-from .engine import INTEGER, RATIONAL, generate, somos5_spec
+from .engine import INTEGER, RATIONAL, generate, somos5_spec, somos_k_spec, window_start
 from .errors import NonIntegralTermError, SomosError
 from .formats import (
     emit_bfile,
@@ -33,7 +32,7 @@ from .formats import (
     term_text,
     to_decimal,
 )
-from .scanner import scan_coprimality, scan_integrality, somos_k_spec
+from .scanner import scan_coprimality, scan_integrality
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from .engine import SequenceBuffer, SequenceSpec, as_integer, first_recurrence_violation
+from .engine import window_start
 from .errors import IndexOutOfRangeError
-
-LEMMA_NAMES = ("product", "pairwise", "shift", "cancellation")
 
 DEFAULT_SAMPLES = 10_000
 DEFAULT_BOUND = 10**6
@@ -51,6 +50,31 @@ def check_lemma_shift(x: int, y: int) -> bool:
 def check_lemma_cancellation(y: int, b: int, z: int) -> bool:
     """Whether z | y*b <=> z | y; only meaningful when gcd(b, z) == 1."""
     return ((y * b) % z == 0) == (y % z == 0)
+
+
+def _draw_coprime_divisor(rng: random.Random, bound: int) -> tuple[int, int, int]:
+    """(y, b, z) for the cancellation lemma: y and z, then b redrawn until gcd(b, z) == 1."""
+    y, z = rng.randint(1, bound), rng.randint(1, bound)
+    b = rng.randint(1, bound)
+    while gcd(b, z) != 1:
+        b = rng.randint(1, bound)
+    return y, b, z
+
+
+def _draw(count: int):
+    """A draw of count independent integers in [1, bound]."""
+    return lambda rng, bound: tuple(rng.randint(1, bound) for _ in range(count))
+
+
+# (name, check, draw(rng, bound) -> the check's arguments), in harness order.
+LEMMAS = (
+    ("product", check_lemma_product, _draw(3)),
+    ("pairwise", check_lemma_pairwise, _draw(4)),
+    ("shift", check_lemma_shift, _draw(2)),
+    ("cancellation", check_lemma_cancellation, _draw_coprime_divisor),
+)
+
+LEMMA_NAMES = tuple(name for name, _, _ in LEMMAS)
 
 
 @dataclass(frozen=True)
@@ -91,28 +115,12 @@ def run_lemma_harness(
         raise ValueError(f"bound must be at least 1, got {bound}")
     rng = random.Random(seed)
     results = []
-    for lemma in LEMMA_NAMES:
+    for lemma, check, draw in LEMMAS:
         failures = 0
         first = None
         for _ in range(samples):
-            if lemma == "product":
-                args = (rng.randint(1, bound), rng.randint(1, bound), rng.randint(1, bound))
-                ok = check_lemma_product(*args)
-            elif lemma == "pairwise":
-                args = tuple(rng.randint(1, bound) for _ in range(4))
-                ok = check_lemma_pairwise(*args)
-            elif lemma == "shift":
-                args = (rng.randint(1, bound), rng.randint(1, bound))
-                ok = check_lemma_shift(*args)
-            else:
-                y = rng.randint(1, bound)
-                z = rng.randint(1, bound)
-                b = rng.randint(1, bound)
-                while gcd(b, z) != 1:
-                    b = rng.randint(1, bound)
-                args = (y, b, z)
-                ok = check_lemma_cancellation(y, b, z)
-            if not ok:
+            args = draw(rng, bound)
+            if not check(*args):
                 failures += 1
                 if first is None:
                     first = args
@@ -191,11 +199,6 @@ def _require_depth(depth: int) -> None:
         raise ValueError(f"depth must be at least 1, got {depth}")
 
 
-def window_start(start_index: int, depth: int) -> int:
-    """First index whose depth predecessors lie in a buffer starting at start_index."""
-    return max(depth, start_index + depth)
-
-
 def verify_coprime_range(
     buffer: SequenceBuffer,
     depth: int = 4,
@@ -228,17 +231,18 @@ def verify_recurrence_and_windows(
     """Check the recurrence identity of a whole buffer, then its coprime windows.
 
     First first_recurrence_violation checks the identity a_n a_{n-k} =
-    sum of a_{n-i} a_{n-j} once, exactly, at every n in [max(start_index
-    + k, k), next_index), on integral and rational terms alike.  On a
-    buffer from generate(..., record=True), it reads the facts next_term
-    recorded on the buffer as it stepped (one fresh product of each
-    appended term with its divisor, against the sum it divided) instead
-    of evaluating them again; a buffer without a record, as from a
-    b-file, is evaluated at every index.  A violation is reported as a "recurrence-identity"
-    failure, and no window runs.  Otherwise the windows run over the
-    range verify_coprime_range covers by default, deriving some offsets
-    by the rule of derived_offsets instead of computing their gcds, and
-    the result is exactly that of verify_coprime_range(buffer, depth).
+    sum of a_{n-i} a_{n-j} once, exactly, at every n in
+    [window_start(start_index, k), next_index), on integral and rational
+    terms alike.  On a buffer from generate(..., record=True), it reads
+    the facts next_term recorded on the buffer as it stepped (one fresh
+    product of each appended term with its divisor, against the sum it
+    divided) instead of evaluating them again; a buffer without a
+    record, as from a b-file, is evaluated at every index.  A violation
+    is reported as a "recurrence-identity" failure, and no window runs.
+    Otherwise the windows run over the range verify_coprime_range covers
+    by default, deriving some offsets by the rule of derived_offsets
+    instead of computing their gcds, and the result is exactly that of
+    verify_coprime_range(buffer, depth).
 
     The window at n applies the rule at n, where the first pass proved
     the identity, with the facts (j, d) for j in [start, n) and d in
@@ -257,7 +261,7 @@ def verify_recurrence_and_windows(
     when the identity holds.
     """
     rule = coprimality_rule(spec)
-    lo = max(buffer.start_index + spec.order, spec.order)
+    lo = window_start(buffer.start_index, spec.order)
     stop = buffer.next_index
     violation = first_recurrence_violation(buffer, spec)
     if violation is not None:

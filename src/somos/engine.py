@@ -174,9 +174,17 @@ class SequenceBuffer:
         return f"SequenceBuffer(start_index={self._start}, len={len(self._terms)})"
 
 
+def somos_k_spec(k: int) -> SequenceSpec:
+    """All-ones Somos-k: a_n * a_{n-k} = sum_{i=1..k//2} a_{n-i} * a_{n-(k-i)}."""
+    if k < 4:
+        raise InvalidSpecError(f"somos_k_spec requires k >= 4, got {k}")
+    summands = tuple((i, k - i) for i in range(1, k // 2 + 1))
+    return SequenceSpec(order=k, summands=summands, initials=(1,) * k, name=f"somos-{k}")
+
+
 def somos5_spec() -> SequenceSpec:
     """The classic Somos-5 instance: k=5, summands (1,4) and (2,3), all-ones start."""
-    return SequenceSpec(order=5, summands=((1, 4), (2, 3)), initials=(1,) * 5, name="somos-5")
+    return somos_k_spec(5)
 
 
 def new_state(spec: SequenceSpec) -> SequenceBuffer:
@@ -372,8 +380,9 @@ def generate(
     non-exact division aborts the run by raising NonIntegralTermError,
     which carries the witness event and the partial buffer.  With
     record, the buffer keeps the identity record that next_term fills,
-    at one product per integral step; first_recurrence_violation,
-    verify_recurrence_and_windows and certify_range read it.
+    at one product per integral step; recurrence_holds reads it for
+    first_recurrence_violation, verify_recurrence_and_windows and
+    certify_range.
     """
     buffer = new_state(spec).below(count)
     if record:
@@ -386,35 +395,44 @@ def generate(
 
 
 def as_integer(value: Term) -> int:
-    """Coerce a term to int; ValueError if it is a non-integral fraction."""
-    if isinstance(value, Fraction):
-        if value.denominator != 1:
-            raise ValueError(f"term {value} is not an integer")
-        return int(value)
-    return value
+    """The int value of a term; ValueError, printing it in full, if it is a
+    non-integral fraction."""
+    if value.denominator != 1:
+        from .formats import term_text  # formats imports this module
+
+        raise ValueError(f"term {term_text(value)} is not an integer")
+    return value.numerator
+
+
+def window_start(start_index: int, depth: int) -> int:
+    """First index whose depth predecessors lie in a buffer starting at start_index."""
+    return max(depth, start_index + depth)
 
 
 def first_recurrence_violation(buffer: SequenceBuffer, spec: SequenceSpec):
     """Check a_n * a_{n-k} == bilinear sum over every covered index.
 
     Returns the first index where the identity fails, or None.  Works on
-    integer and rational buffers alike.  At an index that the buffer's
-    record for spec's recurrence holds, the recorded fact is read; every
-    other index is evaluated by _identity.  next_term writes the record
-    as it appends each term to this very buffer, so a buffer from
-    generate(..., record=True) evaluates nothing, and one read from a
-    file carries no record and is evaluated in full.
+    integer and rational buffers alike.  Each index is read by
+    recurrence_holds, so a buffer from generate(..., record=True)
+    evaluates nothing, and one read from a file carries no record and is
+    evaluated in full.
     """
-    k = spec.order
-    lo = max(buffer.start_index + k, k)
-    recorded = buffer.recorded(spec) or {}
-    for n in range(lo, buffer.next_index):
-        holds = recorded.get(n)
-        if holds is None:
-            holds = _identity(buffer, spec, n)
-        if not holds:
-            return n
-    return None
+    covered = range(window_start(buffer.start_index, spec.order), buffer.next_index)
+    return next((n for n in covered if not recurrence_holds(buffer, spec, n)), None)
+
+
+def recurrence_holds(buffer: SequenceBuffer, spec: SequenceSpec, n: int) -> bool:
+    """Whether the identity at n holds: the buffer's record for spec's
+    recurrence where it has n, else _identity.
+
+    next_term writes the record as it appends each term to this very
+    buffer, so it is read only where it was kept for spec's summands.
+    This is the one reader of identity facts; verify and certify both
+    come through it.
+    """
+    holds = (buffer.recorded(spec) or {}).get(n)
+    return _identity(buffer, spec, n) if holds is None else holds
 
 
 def _sides(t, spec: SequenceSpec, s: int = 0) -> tuple:

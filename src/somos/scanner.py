@@ -20,16 +20,8 @@ from .engine import (
     as_integer,
     new_state,
     next_term,
+    somos_k_spec,  # defined with the engine's specs; still importable from here
 )
-from .errors import InvalidSpecError
-
-
-def somos_k_spec(k: int) -> SequenceSpec:
-    """All-ones Somos-k: a_n * a_{n-k} = sum_{i=1..k//2} a_{n-i} * a_{n-(k-i)}."""
-    if k < 4:
-        raise InvalidSpecError(f"somos_k_spec requires k >= 4, got {k}")
-    summands = tuple((i, k - i) for i in range(1, k // 2 + 1))
-    return SequenceSpec(order=k, summands=summands, initials=(1,) * k, name=f"somos-{k}")
 
 
 @dataclass(frozen=True)

@@ -475,13 +475,13 @@ class TestRangeSharesIdentities:
 
     @staticmethod
     def check(buffer, start, stop, monkeypatch):
-        calls, built, held, facts = [], [], [], []
+        calls, built, maps, facts = [], [], [], []
         build = somos.certificate.build_certificate
 
         def capture(buffer, n, identities=None, proven=None):
             calls.append(n)
+            maps.append((identities, dict(identities)))
             built.append(build(buffer, n, identities, proven))
-            held.append(len(identities))
             facts.append({j: set(offsets) for j, offsets in proven.items()})
             return built[-1]
 
@@ -499,7 +499,15 @@ class TestRangeSharesIdentities:
         assert ranged == expected
         assert built == alone
         assert calls[: len(built)] == [c.index for c in built]
-        assert max(held, default=0) <= 6
+        # One map for the whole range, never written: the identity at each j
+        # from shift 5 of the first certificate to the residue of the last,
+        # clipped to the identities whose terms the buffer holds.
+        lo = max(start - 5, buffer.start_index + 5, 5)
+        covered = range(lo, min(stop, buffer.next_index))
+        truth = {j: _identity(buffer, somos5_spec(), j) for j in covered}
+        for identities, at_call in maps:
+            assert identities is maps[0][0] and at_call == identities
+            assert list(identities) == list(truth) and identities == truth
         values = oracle_values(buffer)
         # Facts are kept at no more than four indices, and each is true of the buffer.
         for proven in facts:
@@ -627,16 +635,16 @@ class TestRangeSharesIdentities:
 
     @staticmethod
     def _evaluated_identities(monkeypatch):
-        # The indices certificate._identity is called at, in order; the
+        # The indices engine._identity is called at, in order; the
         # certificate's own _sides and _divmod refuse to run.
         evaluated = []
-        identity = somos.certificate._identity
+        identity = somos.engine._identity
 
         def refuse(*args):
             raise AssertionError("evaluated outside _identity")
 
         monkeypatch.setattr(
-            somos.certificate, "_identity", lambda b, s, n: evaluated.append(n) or identity(b, s, n)
+            somos.engine, "_identity", lambda b, s, n: evaluated.append(n) or identity(b, s, n)
         )
         monkeypatch.setattr(somos.certificate, "_sides", refuse)
         monkeypatch.setattr(somos.certificate, "_divmod", refuse)

@@ -36,6 +36,7 @@ from somos import (
 )
 
 from somos.cli import main
+from somos.coprime import LEMMA_NAMES, LEMMAS
 
 from helpers import SOMOS_SUMMANDS
 
@@ -149,6 +150,34 @@ class TestLemmaHarness:
     def test_bound_one_draws_ones(self):
         report = run_lemma_harness(seed=0, samples=5, bound=1)
         assert report.passed and all(r.samples == 5 for r in report.results)
+
+    @pytest.mark.parametrize("seed, bound", [(0, 10**6), (7, 12), (20260811, 10**6), (3, 1)])
+    def test_each_check_gets_the_draws_in_harness_order(self, monkeypatch, seed, bound):
+        # Every lemma holds for every input, so counts cannot see a changed
+        # draw: record what each check is called with instead.
+        seen = []
+
+        def recording(name, check):
+            return lambda *args: seen.append((name, args)) or check(*args)
+
+        table = tuple((name, recording(name, check), draw) for name, check, draw in LEMMAS)
+        monkeypatch.setattr(somos.coprime, "LEMMAS", table)
+        report = run_lemma_harness(seed=seed, samples=40, bound=bound)
+        assert report.passed and LEMMA_NAMES == tuple(r.lemma for r in report.results)
+        rng = random.Random(seed)
+
+        def draw():
+            return rng.randint(1, bound)
+
+        expected = [("product", (draw(), draw(), draw())) for _ in range(40)]
+        expected += [("pairwise", (draw(), draw(), draw(), draw())) for _ in range(40)]
+        expected += [("shift", (draw(), draw())) for _ in range(40)]
+        for _ in range(40):
+            y, z, b = draw(), draw(), draw()
+            while gcd(b, z) != 1:
+                b = draw()
+            expected.append(("cancellation", (y, b, z)))
+        assert seen == expected
 
     def test_faulty_gcd_is_caught(self, monkeypatch):
         def faulty(a, b):

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import somos.engine
+import somos.scanner
 from somos import (
     INTEGER,
     RATIONAL,
@@ -22,6 +24,8 @@ from somos import (
     SequenceSpec,
     ZeroDenominatorError,
     as_integer,
+    build_certificate,
+    emit_bfile,
     first_recurrence_violation,
     generate,
     new_state,
@@ -566,6 +570,24 @@ class TestDigitSafeText:
         )
         assert error.event is event
 
+    @pytest.mark.parametrize("where", ["certificate", "bfile"])
+    def test_non_integral_term_prints_in_full(self, digit_limit, where):
+        # A fraction whose numerator is past the limit is refused as a term
+        # with its exact digits, not with the interpreter's int->str error.
+        if where == "certificate":
+            values = generate(somos5_spec(), 595).values()
+            values[590] = term = Fraction(3 * values[590] + 1, 3)  # a_{n-5} at n = 595
+            refuse = lambda: build_certificate(SequenceBuffer(values), 595)
+        else:
+            term = Fraction(3**10000, 2)
+            refuse = lambda: emit_bfile(SequenceBuffer([1, term]))
+        assert len(to_decimal(term.numerator)) > 4300
+        with pytest.raises(ValueError) as excinfo:
+            refuse()
+        assert str(excinfo.value) == (
+            f"term {to_decimal(term.numerator)}/{to_decimal(term.denominator)} is not an integer"
+        )
+
 
 class TestRecurrenceIdentityProperty:
     @settings(deadline=None, max_examples=30)
@@ -587,3 +609,8 @@ def test_as_integer():
     assert as_integer(Fraction(7)) == 7
     with pytest.raises(ValueError):
         as_integer(Fraction(7, 2))
+
+
+def test_one_somos_k_spec():
+    assert somos5_spec() == somos_k_spec(5) and somos5_spec().name == "somos-5"
+    assert somos.scanner.somos_k_spec is somos.engine.somos_k_spec is somos_k_spec
