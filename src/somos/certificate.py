@@ -11,32 +11,33 @@ validity rests on three facts, all established when it is built:
   * the residue of the numerator modulo a_{n-5}, which must be zero.
 
 Shift s at n is the recurrence at n - s, so along a range each identity
-belongs to five consecutive certificates.  A certificate reads them from
-one map, index j -> whether the recurrence at j holds over its buffer,
-whose every entry comes from engine.recurrence_holds: the record
-generate(..., record=True) keeps on the buffer, else engine._identity.
-certify_range fills one map over its whole range before its first
-certificate and hands that same map to each; a certificate built alone
-fills its own over n-5 .. n.  The recurrence at n also settles the
-residue: where a_n is an integral term of the buffer and that identity
-holds, a_n a_{n-5} equals the numerator exactly and the residue is 0.
-Only where it fails, or a_n is absent (certify --index N holds a_0 ..
-a_{N-1}) or fractional, is the numerator divided.  So a recorded range
-evaluates no identity, and an unrecorded one evaluates each once.  A
-certificate keeps facts: each shift's lhs and rhs are evaluated from the
-window, by engine._sides, when first read.
+belongs to five consecutive certificates.  A certificate reads them
+through holds(j), whether the recurrence at j holds over its buffer:
+engine.recurrence_holds, which reads the record generate(...,
+record=True) keeps on the buffer, else evaluates engine._identity.
+certify_range hands every certificate one reader, cached for the range;
+a certificate built alone reads through the uncached one.  The
+recurrence at n also settles the residue: where a_n is an integral term
+of the buffer and that identity holds, a_n a_{n-5} equals the numerator
+exactly and the residue is 0.  Only where it fails, or a_n is absent
+(certify --index N holds a_0 .. a_{N-1}) or fractional, is the
+numerator divided.  A certificate reads n - 5 .. n in that order, so a
+range evaluates each identity at most once, in walk order, and none past
+its first failure; a recorded range evaluates none.  A certificate keeps
+facts: each shift's lhs and rhs are evaluated from the window, by
+engine._sides, when first read.
 
 Along a range the precondition follows from those same identities, by
 the coprimality rule of coprime.derived_offsets, whose docstring proves
-it.  certify_range keeps the rule's facts: index j -> the offsets d with
-gcd(a_j, a_{j-d}) = 1 proven, for j in n-8 .. n-5.  Six gcds over the
-window of its first certificate, or of any that finds the store empty,
-put offsets 1 and 2 at n-8, n-7 and n-6.  Where shift 5 holds,
-build_certificate stores the offsets the rule derives at n-5; offsets 3
-and 4 there give the precondition gcd 1 by the product lemma, with no
-product and no gcd.  Elsewhere, and in a certificate built alone, the
-gcd is computed.  So a clean recorded range forms no product and six
-gcds in all, and both routes yield the same certificate, field for field.
+it and states the walk-order condition it rests on.  certify_range hands
+every certificate one predicate, known(j, d), meaning gcd(a_j, a_{j-d})
+= 1: it is true for d <= 2 once six gcds over the window of the first
+certificate, offsets 1 and 2 at start - 8 .. start - 6, are all 1.  The
+rule at n - 5 asks only about j in n - 8 .. n - 6 and d <= 2.  Where
+shift 5 holds, offsets 3 and 4 at n - 5 give the precondition gcd 1 by
+the product lemma, with no product and no gcd.  Elsewhere, and in a certificate built alone, the
+gcd is computed.  So a clean range computes six gcds in all, and both
+routes yield the same certificate, field for field.
 
 The eight-step reduction chain displays how these facts combine: it
 multiplies the numerator by a_{n-8}a_{n-9}, rewrites it with the shift
@@ -65,7 +66,7 @@ ten earlier terms are integral by inspection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property, partial
 from math import gcd
 
 from .coprime import VerificationReport, first_failure
@@ -158,18 +159,9 @@ def _window(buffer: SequenceBuffer, n: int) -> tuple[int, ...]:
     return (0,) + tuple(as_integer(buffer.term(n - d)) for d in range(1, 11))
 
 
-def _identities(buffer: SequenceBuffer, lo: int, stop: int) -> dict[int, bool]:
-    """j -> whether the recurrence at j holds, for each j in [lo, stop) whose
-    identity's terms a_{j-5} .. a_j the buffer holds."""
-    covered = range(max(lo, window_start(buffer.start_index, 5)), min(stop, buffer.next_index))
-    return {j: recurrence_holds(buffer, _SOMOS5, j) for j in covered}
-
-
-def _shift_identities(t, n: int, identities: dict) -> tuple[IndexShiftIdentity, ...]:
+def _shift_identities(t, n: int, holds) -> tuple[IndexShiftIdentity, ...]:
     """Shifts 5 down to 1 at n over the window t; shift s is the fact at n - s."""
-    return tuple(
-        IndexShiftIdentity(shift=s, holds=identities[n - s], window=t) for s in range(5, 0, -1)
-    )
+    return tuple(IndexShiftIdentity(shift=s, holds=holds(n - s), window=t) for s in range(5, 0, -1))
 
 
 def check_index_shifts(buffer: SequenceBuffer, n: int) -> tuple[IndexShiftIdentity, ...]:
@@ -177,14 +169,11 @@ def check_index_shifts(buffer: SequenceBuffer, n: int) -> tuple[IndexShiftIdenti
 
     No command calls it; perfbench/trace_cli.py traces it by name.
     """
-    return _shift_identities(_window(buffer, n), n, _identities(buffer, n - 5, n))
+    return _shift_identities(_window(buffer, n), n, partial(recurrence_holds, buffer, _SOMOS5))
 
 
 def build_certificate(
-    buffer: SequenceBuffer,
-    n: int,
-    identities: dict | None = None,
-    proven: dict | None = None,
+    buffer: SequenceBuffer, n: int, holds=None, known=None
 ) -> DivisibilityCertificate:
     """Check the facts the certificate at index n rests on.
 
@@ -192,35 +181,28 @@ def build_certificate(
     chain is evaluated when it is first read.  Returns the certificate
     whether or not it is valid, so callers can inspect which fact broke.
 
-    identities maps an index j to whether the recurrence at j holds over
-    this same buffer; it is read, never written.  It must hold n - 5 ..
-    n - 1, for shifts 5 .. 1, and n wherever a_n is in the buffer.
-    certify_range passes one map for its whole range; without it, the
-    certificate fills its own over n - 5 .. n.  Where a_n is an integral
-    term of the buffer and the recurrence at n holds, the residue is 0.
+    holds(j) says whether the recurrence at j holds over this same
+    buffer.  It is read at n - 5 .. n - 1, for shifts 5 .. 1, then at n
+    where a_n is an integral term of the buffer: if that identity holds,
+    the residue is 0.  certify_range passes one reader cached for its
+    range; without it, engine.recurrence_holds is read directly.
 
-    proven, when given, is certify_range's store of coprimality facts
-    over this same buffer (see the module docstring); without it, the
+    known(j, d), when given, confirms gcd(a_j, a_{j-d}) = 1 for the
+    facts coprime.derived_offsets asks about at n - 5; certify_range's
+    holds by its walk (see the module docstring).  Without it, the
     precondition gcd is computed.
     """
     t = _window(buffer, n)
     m = t[5]
     if m == 0:
         raise ZeroDenominatorError(n - 5, f"chain modulus a_{n - 5} is zero")
-    if identities is None:
-        identities = _identities(buffer, n - 5, n + 1)
+    if holds is None:
+        holds = partial(recurrence_holds, buffer, _SOMOS5)
 
-    shifts = _shift_identities(t, n, identities)
-    derived = frozenset()
-    if proven is not None:
-        if not proven:
-            for d in (6, 7, 8):
-                proven[n - d] = {i for i in (1, 2) if gcd(t[d], t[d + i]) == 1}
-        if shifts[0].holds:
-            derived = derived_offsets(_RULE, n - 5, lambda j, d: d in proven.get(j, ()))
-            proven[n - 5] = derived
+    shifts = _shift_identities(t, n, holds)
+    derived = derived_offsets(_RULE, n - 5, known) if known and shifts[0].holds else frozenset()
     precondition_gcd = 1 if {3, 4} <= derived else gcd(m, t[8] * t[9])
-    if identities.get(n) and buffer.term(n).denominator == 1:
+    if n < buffer.next_index and buffer.term(n).denominator == 1 and holds(n):
         numerator_residue = 0  # the numerator equals a_n * m exactly
     else:
         numerator_residue = _divmod(_sides(t, _SOMOS5)[1], m)[1]
@@ -306,12 +288,18 @@ def certify_range(
         start = window_start(buffer.start_index, CERTIFICATE_START)
     if stop is None:
         stop = buffer.next_index
-    identities = _identities(buffer, start - 5, stop)  # shift 5 at start .. the residue at stop - 1
-    proven = {}
+    holds = cache(partial(recurrence_holds, buffer, _SOMOS5))
+
+    @cache
+    def seeded():
+        t = _window(buffer, start)  # offsets 1 and 2 at start - 6, start - 7, start - 8
+        return all(gcd(t[d], t[d + i]) == 1 for d in (6, 7, 8) for i in (1, 2))
+
+    def known(j, d):
+        return d <= 2 and seeded()
 
     def failure_at(n):
-        proven.pop(n - 9, None)  # keeps the facts at n - 8 .. n - 5
-        return _failure_reason(build_certificate(buffer, n, identities, proven))
+        return _failure_reason(build_certificate(buffer, n, holds, known))
 
     return first_failure("certificate", start, stop, failure_at)
 

@@ -246,13 +246,13 @@ def verify_recurrence_and_windows(
 
     The window at n applies the rule at n, where the first pass proved
     the identity, with the facts (j, d) for j in [start, n) and d in
-    1..depth: the window at j has passed, since no window runs after the
-    first failure.  So each window failure comes from a computed gcd.
-    The terms a_{n-k} .. a_n are integers by then: a_n is converted
-    before any gcd, and each earlier one is the own term of a window
-    that passed, or one of the depth terms before the range, which the
-    first window, deriving nothing, converts; a term that is not
-    integral raises there, as in verify_coprime_range.  For Somos-5 at
+    1..depth: the window at j has passed, by the walk order that
+    derived_offsets states.  So each window failure comes from a
+    computed gcd.  The terms a_{n-k} .. a_n are integers by then: a_n is
+    converted before any gcd, and each earlier one is the own term of a
+    window that passed, or one of the depth terms before the range,
+    which the first window, deriving nothing, converts; a term that is
+    not integral raises there, as in verify_coprime_range.  For Somos-5 at
     depth 2 or more, offsets 1 .. min(depth, 4) are derived from the
     fourth window of the range on.
 
@@ -327,5 +327,15 @@ def derived_offsets(rule: dict, m: int, known) -> frozenset[int]:
     prime, and gcd = 1 says exactly that no prime divides both, so the
     argument covers zero and negative terms.  It is about integers, so
     the caller makes a_{m-k} .. a_m integers first.
+
+    Both callers confirm facts by walk order alone, and keep no store of
+    them: each walks a range, stops at its first failure, and applies
+    the rule at m only after every earlier step passed, so every fact an
+    earlier step computed, or derived here from an identity it checked,
+    is true.  verify_recurrence_and_windows confirms (j, d) for each
+    window j before m; certify_range confirms offsets 1 and 2 at the
+    three indices before m, which six gcds seed at its first certificate
+    and this rule derives at each later j from the identity at j, shift
+    5 of a valid certificate.
     """
     return frozenset(o for o, facts in rule.items() if all(known(m - b, d) for b, d in facts))

@@ -475,14 +475,18 @@ class TestRangeSharesIdentities:
 
     @staticmethod
     def check(buffer, start, stop, monkeypatch):
-        calls, built, maps, facts = [], [], [], []
+        calls, built, readers, asked = [], [], [], []
         build = somos.certificate.build_certificate
 
-        def capture(buffer, n, identities=None, proven=None):
+        def capture(buffer, n, holds=None, known=None):
             calls.append(n)
-            maps.append((identities, dict(identities)))
-            built.append(build(buffer, n, identities, proven))
-            facts.append({j: set(offsets) for j, offsets in proven.items()})
+            readers.append((holds, known))
+
+            def ask(j, d):
+                asked.append((n, j, d, known(j, d)))
+                return asked[-1][3]
+
+            built.append(build(buffer, n, holds, ask))
             return built[-1]
 
         monkeypatch.setattr(somos.certificate, "build_certificate", capture)
@@ -499,22 +503,23 @@ class TestRangeSharesIdentities:
         assert ranged == expected
         assert built == alone
         assert calls[: len(built)] == [c.index for c in built]
-        # One map for the whole range, never written: the identity at each j
-        # from shift 5 of the first certificate to the residue of the last,
-        # clipped to the identities whose terms the buffer holds.
-        lo = max(start - 5, buffer.start_index + 5, 5)
-        covered = range(lo, min(stop, buffer.next_index))
-        truth = {j: _identity(buffer, somos5_spec(), j) for j in covered}
-        for identities, at_call in maps:
-            assert identities is maps[0][0] and at_call == identities
-            assert list(identities) == list(truth) and identities == truth
+        # One reader and one predicate for the whole range.  The reader gives
+        # the identity at each j from shift 5 of the first certificate to the
+        # residue of the last, clipped to the identities whose terms the
+        # buffer holds.
+        assert all(pair[0] is readers[0][0] and pair[1] is readers[0][1] for pair in readers)
+        if readers:
+            holds = readers[0][0]
+            lo = max(start - 5, buffer.start_index + 5, 5)
+            for j in range(lo, min(stop, buffer.next_index)):
+                assert holds(j) == _identity(buffer, somos5_spec(), j)
         values = oracle_values(buffer)
-        # Facts are kept at no more than four indices, and each is true of the buffer.
-        for proven in facts:
-            assert len(proven) <= 4
-            for j, offsets in proven.items():
-                for d in offsets:
-                    assert gcd(values[j], values[j - d]) == 1
+        # known is asked only about the three indices before n - 5, and each
+        # fact it confirms is true of the buffer.
+        for n, j, d, confirmed in asked:
+            assert n - 8 <= j <= n - 6
+            if confirmed:
+                assert gcd(values[j], values[j - d]) == 1
         for certificate in built:
             assert oracle_layout(certificate) == certificate_oracle(values, certificate.index)
         return ranged, built
@@ -656,6 +661,20 @@ class TestRangeSharesIdentities:
         assert (report.passed, report.checked) == (True, 440)
         # The first certificate's five shifts, then the identity at each n.
         assert evaluated == list(range(5, 450))
+
+    def test_an_early_failure_ends_the_evaluations(self, monkeypatch):
+        # Identities are read as the walk reaches them, so a range over
+        # terms without a record that fails early evaluates none past it.
+        values = generate(somos5_spec(), 1000).values()
+        values[20] += 1
+        evaluated = self._evaluated_identities(monkeypatch)
+        # The identity at 20 fails, so the certificate at 20 divides its residue.
+        monkeypatch.setattr(somos.certificate, "_sides", somos.engine._sides)
+        monkeypatch.setattr(somos.certificate, "_divmod", somos.engine._divmod)
+        report = certify_range(SequenceBuffer(values), 10, 1000)
+        assert (report.checked, report.first_failure_index) == (12, 21)
+        assert report.first_failure_reason == "shift identity at offset 1 fails"
+        assert evaluated == list(range(5, 22))
 
     def test_a_recorded_range_evaluates_no_identity(self, monkeypatch):
         buffer = generate(somos5_spec(), 450, record=True)
