@@ -69,9 +69,10 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from math import gcd
 
+from .bigint import _divmod, to_decimal
 from .coprime import VerificationReport, first_failure
 from .coprime import coprimality_rule, derived_offsets
-from .engine import SequenceBuffer, _divmod, _sides, as_integer, recurrence_holds, somos5_spec
+from .engine import SequenceBuffer, _sides, as_integer, recurrence_holds, somos5_spec
 from .engine import window_start
 from .errors import IndexOutOfRangeError, ZeroDenominatorError
 
@@ -306,8 +307,6 @@ def certify_range(
 
 def _failure_reason(certificate: DivisibilityCertificate) -> str | None:
     """The first fact a certificate fails, or None when it is valid."""
-    from .formats import to_decimal  # formats imports this module
-
     if certificate.valid:
         return None
     if certificate.precondition_gcd != 1:

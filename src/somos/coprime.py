@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass
 from math import gcd
 
+from .bigint import to_decimal
 from .engine import SequenceBuffer, SequenceSpec, as_integer, first_recurrence_violation
 from .engine import window_start
 from .errors import IndexOutOfRangeError
@@ -284,8 +285,6 @@ def verify_recurrence_and_windows(
 
 def _window_reason(report: CoprimeWindowReport) -> str | None:
     """The failure reason of a window, naming its first offset with a common factor."""
-    from .formats import to_decimal  # formats imports this module
-
     if report.passed:
         return None
     n = report.index

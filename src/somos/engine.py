@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, Union
 
+from .bigint import _divmod, term_text, to_decimal
 from .errors import (
     IndexOutOfRangeError,
     InvalidSpecError,
@@ -29,13 +30,6 @@ Term = Union[int, Fraction]
 
 INTEGER = "integer"
 RATIONAL = "rational"
-
-# Divisions with a divisor or quotient of at most this many bits are left
-# to the builtin divmod; it is also the leaf size of _divmod's recursion.
-# On CPython 3.11.7, Somos-5 steps over [5, 700) took least time from
-# 1,500 to 3,000 bits, and one recursion level beat the builtin from
-# about 2,500-bit quotients on.
-_DIV_LIMIT = 2000
 
 
 @dataclass(frozen=True)
@@ -80,9 +74,6 @@ class SequenceSpec:
                 f"expected {self.order} initial values, got {len(self.initials)}"
             )
 
-    def all_ones_initials(self) -> bool:
-        return all(v == 1 for v in self.initials)
-
 
 @dataclass(frozen=True, repr=False)
 class NonIntegralEvent:
@@ -97,8 +88,6 @@ class NonIntegralEvent:
     remainder: int
 
     def __repr__(self) -> str:
-        from .formats import to_decimal  # formats imports this module
-
         return (
             f"NonIntegralEvent(index={self.index}, numerator={to_decimal(self.numerator)}, "
             f"denominator={to_decimal(self.denominator)}, remainder={to_decimal(self.remainder)})"
@@ -288,88 +277,6 @@ def _fractional_step(window, summands) -> Fraction:
     return Fraction(total, common) / window[-1]
 
 
-def _divmod(a: int, b: int) -> tuple[int, int]:
-    """Exactly divmod(a, b), for all ints; b == 0 raises ZeroDivisionError.
-
-    A division whose divisor or quotient has at most _DIV_LIMIT bits goes
-    to the builtin, which divides by schoolbook in CPython 3.11.  A larger
-    one runs Burnikel and Ziegler's recursive division ("Fast recursive
-    division", MPI-I-98-1-022, 1998) over the base-2^n digits of |a|,
-    where n is the bit length of b, at the cost of a few multiplications
-    of half the divisor's size per level.
-    """
-    n = b.bit_length()
-    if min(n, a.bit_length() - n) <= _DIV_LIMIT:
-        return divmod(a, b)
-    if b < 0:
-        quotient, remainder = _divmod(-a, -b)
-        return quotient, -remainder
-    if a < 0:
-        # ~a = -a - 1 >= 0.  From ~a = q*b + r follows a = ~q*b + (b + ~r),
-        # and 0 <= b + ~r < b.
-        quotient, remainder = _divmod(~a, b)
-        return ~quotient, b + ~remainder
-    # The fewest n-bit digits with a < b * 2^(count*n), since b >= 2^(n-1).
-    count = -(-(a.bit_length() - n + 1) // n)
-    return _div_digits(a, b, n, count)
-
-
-def _div_digits(a: int, b: int, n: int, count: int) -> tuple[int, int]:
-    """divmod(a, b) for b of exactly n bits and 0 <= a < b * 2^(count*n).
-
-    Splits a at a digit boundary and divides the high part first; its
-    remainder, below b, heads the low part.
-    """
-    if count == 1:
-        return _div2n1n(a, b, n)
-    shift = (count // 2) * n
-    high_q, r = _div_digits(a >> shift, b, n, count - count // 2)
-    low_q, r = _div_digits(r << shift | a & ((1 << shift) - 1), b, n, count // 2)
-    return high_q << shift | low_q, r
-
-
-def _div2n1n(a: int, b: int, n: int) -> tuple[int, int]:
-    """divmod(a, b) for b of exactly n bits and 0 <= a < b * 2^n.
-
-    The quotient has at most n bits; it is found as two digits of n/2
-    bits, each by one _div3n2n.  An odd n is made even by doubling a and
-    b, which leaves the quotient unchanged and doubles the remainder.
-    """
-    if a.bit_length() - n <= _DIV_LIMIT:
-        return divmod(a, b)
-    odd = n & 1
-    if odd:
-        a, b, n = a << 1, b << 1, n + 1
-    half = n >> 1
-    mask = (1 << half) - 1
-    b_high, b_low = b >> half, b & mask
-    q_high, r = _div3n2n(a >> n, a >> half & mask, b, b_high, b_low, half)
-    q_low, r = _div3n2n(r, a & mask, b, b_high, b_low, half)
-    return q_high << half | q_low, r >> odd
-
-
-def _div3n2n(
-    a_high: int, a_low: int, b: int, b_high: int, b_low: int, half: int
-) -> tuple[int, int]:
-    """divmod(a_high * 2^half + a_low, b) where b = b_high * 2^half + b_low
-    has exactly 2*half bits, a_low < 2^half and the quotient is below 2^half.
-
-    Estimates the quotient from the top digits, a_high / b_high, which
-    overshoots by at most 2, then corrects it against the full divisor.
-    """
-    if a_high >> half == b_high:
-        # The estimate would reach 2^half; 2^half - 1 is within 2 of the truth.
-        q = (1 << half) - 1
-        r = a_high - (b_high << half) + b_high
-    else:
-        q, r = _div2n1n(a_high, b_high, half)
-    r = (r << half | a_low) - q * b_low
-    while r < 0:
-        q -= 1
-        r += b
-    return q, r
-
-
 def generate(
     spec: SequenceSpec, count: int, mode: str = INTEGER, record: bool = False
 ) -> SequenceBuffer:
@@ -398,8 +305,6 @@ def as_integer(value: Term) -> int:
     """The int value of a term; ValueError, printing it in full, if it is a
     non-integral fraction."""
     if value.denominator != 1:
-        from .formats import term_text  # formats imports this module
-
         raise ValueError(f"term {term_text(value)} is not an integer")
     return value.numerator
 

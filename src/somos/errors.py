@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from .bigint import to_decimal
+
 
 class SomosError(Exception):
     """Base class for all errors raised by this package."""
@@ -30,8 +32,6 @@ class NonIntegralTermError(SomosError):
     """
 
     def __init__(self, event, buffer):
-        from .formats import to_decimal  # formats imports engine, which imports this module
-
         self.event = event
         self.buffer = buffer
         super().__init__(

@@ -114,6 +114,9 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "note:" in captured.err
         assert "first failure" in captured.out
+        # every CLI spec has all-ones initials, so order 5 is in scope
+        assert main(["verify", "--k", "5", "--count", "40"]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "name, argv",

@@ -33,8 +33,9 @@ from somos import (
     somos5_spec,
     somos_k_spec,
 )
+from somos.bigint import _DIV_LIMIT
 from somos.cli import main
-from somos.engine import _DIV_LIMIT, _divmod, _fractional_step, _identity
+from somos.engine import _divmod, _fractional_step, _identity
 from somos.formats import parse_bfile, to_decimal
 
 from helpers import SOMOS_SUMMANDS, first_fractional_index, fraction_terms
