@@ -1,10 +1,14 @@
 """Command-line front end.
 
-Exit codes: 0 all checks pass, 1 a verified claim failed (witness
-printed), 2 usage or configuration error.  Defaults reproduce the
-classic setting, so `somos generate`, `somos verify` and `somos certify`
-with no flags re-establish term reproduction, the coprimality windows
-and the divisibility certificates in one command each.
+Every command returns (result, passed): the report, certificate or
+harness result it computed, and whether its claim held.  main alone
+prints the result, as JSON under --format json and as text lines
+otherwise (both laid out by formats), and maps it to the exit code:
+0 all checks pass, 1 a verified claim failed (witness printed), 2 usage
+or configuration error.  Defaults reproduce the classic setting, so
+`somos generate`, `somos verify` and `somos certify` with no flags
+re-establish term reproduction, the coprimality windows and the
+divisibility certificates in one command each.
 """
 
 from __future__ import annotations
@@ -18,14 +22,13 @@ from .certificate import CERTIFICATE_START, build_certificate, certify_range
 from .coprime import (
     DEFAULT_BOUND,
     DEFAULT_SAMPLES,
-    VerificationReport,
     first_failure,
     run_lemma_harness,
     verify_recurrence_and_windows,
 )
 from .engine import INTEGER, RATIONAL, generate, somos5_spec, somos_k_spec, window_start
 from .errors import NonIntegralTermError, SomosError
-from .formats import emit_bfile, emit_report_json, emit_terms_json, parse_bfile
+from .formats import emit_bfile, emit_report_json, emit_report_text, emit_terms_json, parse_bfile
 from .scanner import scan_coprimality, scan_integrality
 
 EXIT_OK = 0
@@ -92,16 +95,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except NonIntegralTermError as exc:
-        if args.format == "json":
-            print(emit_report_json(exc.event))
-        else:
-            _print_event(exc.event)
-        return EXIT_CHECK_FAILED
+        try:
+            result, passed = args.func(args)
+        except NonIntegralTermError as exc:
+            result, passed = exc.event, False
+        if result is not None:
+            print(emit_report_json(result) if args.format == "json" else emit_report_text(result))
     except (SomosError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def _write(text: str, output: str | None) -> None:
@@ -112,36 +115,7 @@ def _write(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _print_event(event) -> None:
-    print(
-        f"non-integral term at index {event.index}: "
-        f"numerator {to_decimal(event.numerator)}, "
-        f"denominator {to_decimal(event.denominator)}, "
-        f"remainder {to_decimal(event.remainder)}"
-    )
-
-
-def _scope_note(spec) -> None:
-    if spec.order != 5:
-        print(
-            "note: the verified claims cover order 5 with all-ones initials; "
-            "results for this spec are reported, not guaranteed",
-            file=sys.stderr,
-        )
-
-
-def _print_report(report: VerificationReport, fmt: str) -> None:
-    if fmt == "json":
-        print(emit_report_json(report))
-        return
-    status = "pass" if report.passed else "FAIL"
-    line = f"{report.check} over n in [{report.start}, {report.stop}): {report.checked} checked, {status}"
-    if not report.passed:
-        line += f"; first failure at n = {report.first_failure_index} ({report.first_failure_reason})"
-    print(line)
-
-
-def cmd_generate(args) -> int:
+def cmd_generate(args):
     spec = somos_k_spec(args.k)
     buffer = generate(spec, args.count, mode=args.mode)
     if args.format == "bfile":
@@ -150,12 +124,17 @@ def cmd_generate(args) -> int:
         _write(emit_terms_json(buffer, name=spec.name) + "\n", args.output)
     else:
         _write("".join(term_text(v) + "\n" for _, v in buffer.items()), args.output)
-    return EXIT_OK
+    return None, True
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     spec = somos_k_spec(args.k)
-    _scope_note(spec)
+    if spec.order != 5:
+        print(
+            "note: the verified claims cover order 5 with all-ones initials; "
+            "results for this spec are reported, not guaranteed",
+            file=sys.stderr,
+        )
     if args.input:
         with open(args.input, "r", encoding="utf-8") as handle:
             parsed = parse_bfile(handle.read())
@@ -169,49 +148,30 @@ def cmd_verify(args) -> int:
     if report.checked == 0 and args.format == "text":
         start = window_start(first, args.depth)
         print(f"note: range below coprime window start (n = {start}); zero windows")
-    _print_report(report, args.format)
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return report, report.passed
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args):
     if args.count < 0:
         raise ValueError(f"count must be non-negative, got {args.count}")
     spec = somos5_spec()
     if args.index is not None:
         buffer = generate(spec, max(args.index, 0), mode=INTEGER)  # n < 10: build_certificate's error
         certificate = build_certificate(buffer, args.index)
-        if args.format == "json":
-            print(emit_report_json(certificate))
-        else:
-            status = "valid" if certificate.valid else "INVALID"
-            print(
-                f"certificate n = {certificate.index}: {status} "
-                f"(precondition gcd {to_decimal(certificate.precondition_gcd)}, "
-                f"residue {to_decimal(certificate.numerator_residue)})"
-            )
-        return EXIT_OK if certificate.valid else EXIT_CHECK_FAILED
+        return certificate, certificate.valid
 
-    buffer = generate(spec, args.count, INTEGER, record=True)
-    report = certify_range(buffer, CERTIFICATE_START, args.count)
+    report = certify_range(generate(spec, args.count, INTEGER, record=True))
     if report.checked == 0 and args.format == "text":
         print(f"note: range below certificate start (n = {CERTIFICATE_START}); zero certificates")
-    _print_report(report, args.format)
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return report, report.passed
 
 
-def cmd_lemmas(args) -> int:
+def cmd_lemmas(args):
     report = run_lemma_harness(seed=args.seed, samples=args.samples, bound=args.bound)
-    if args.format == "json":
-        print(emit_report_json(report))
-    else:
-        for result in report.results:
-            print(
-                f"{result.lemma}: {result.samples} samples, {result.failures} counterexamples"
-            )
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return report, report.passed
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args):
     spec = somos_k_spec(args.k)
     if args.count < spec.order:
         raise ValueError(f"--count must be at least the order {spec.order}, got {args.count}")
@@ -219,28 +179,10 @@ def cmd_scan(args) -> int:
         report = scan_integrality(spec, args.count)
     else:
         report = scan_coprimality(spec, args.count, depth=args.depth)
-    if args.format == "json":
-        print(emit_report_json(report))
-    else:
-        print(f"scanned {spec.name} for {report.terms_checked} terms")
-        if report.first_nonintegral is not None:
-            _print_event(report.first_nonintegral)
-        else:
-            print("all terms integral")
-        if report.depth is not None:
-            if report.first_noncoprime is not None:
-                w = report.first_noncoprime
-                print(
-                    f"first common factor at index {w.index}, offset {w.offset}: "
-                    f"gcd = {to_decimal(w.gcd)}"
-                )
-            else:
-                print(f"no common factors up to depth {report.depth}")
-    found = report.first_nonintegral is not None or report.first_noncoprime is not None
-    return EXIT_CHECK_FAILED if found else EXIT_OK
+    return report, report.first_nonintegral is None and report.first_noncoprime is None
 
 
-def cmd_crosscheck(args) -> int:
+def cmd_crosscheck(args):
     with open(args.input, "r", encoding="utf-8") as handle:
         fixture = parse_bfile(handle.read()).below(args.count)
     spec = somos_k_spec(args.k)
@@ -254,8 +196,7 @@ def cmd_crosscheck(args) -> int:
         return f"generated {to_decimal(generated)} != fixture {to_decimal(expected)}"
 
     report = first_failure("crosscheck", max(fixture.start_index, 0), stop, mismatch)
-    _print_report(report, args.format)
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return report, report.passed
 
 
 if __name__ == "__main__":

@@ -75,8 +75,6 @@ LEMMAS = (
     ("cancellation", check_lemma_cancellation, _draw_coprime_divisor),
 )
 
-LEMMA_NAMES = tuple(name for name, _, _ in LEMMAS)
-
 
 @dataclass(frozen=True)
 class LemmaCheckResult:

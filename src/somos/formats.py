@@ -1,10 +1,12 @@
-"""OEIS b-file parsing/emission and a stable JSON report schema.
+"""OEIS b-files, a stable JSON report schema and the CLI's text lines.
 
 All arithmetic payloads (term values, gcds, residues) are rendered as
 decimal strings so no JSON consumer can lose precision; structural
 fields (indices, counts, offsets) stay plain numbers.  Emission is
 deterministic: fixed key order, no timestamps, byte-identical output for
 identical inputs.  The schema carries a version field, currently "1".
+Each result type has one JSON form and one text form, laid out here
+side by side.
 """
 
 from __future__ import annotations
@@ -122,6 +124,48 @@ def _payload(report) -> dict:
             ],
         }
     raise TypeError(f"no JSON schema for {type(report).__name__}")
+
+
+def emit_report_text(report) -> str:
+    """Render any report/certificate type as the lines the CLI prints."""
+    if isinstance(report, DivisibilityCertificate):
+        status = "valid" if report.valid else "INVALID"
+        return (
+            f"certificate n = {report.index}: {status} "
+            f"(precondition gcd {to_decimal(report.precondition_gcd)}, "
+            f"residue {to_decimal(report.numerator_residue)})"
+        )
+    if isinstance(report, VerificationReport):
+        status = "pass" if report.passed else "FAIL"
+        line = f"{report.check} over n in [{report.start}, {report.stop}): {report.checked} checked, {status}"
+        if not report.passed:
+            line += f"; first failure at n = {report.first_failure_index} ({report.first_failure_reason})"
+        return line
+    if isinstance(report, NonIntegralEvent):
+        return (
+            f"non-integral term at index {report.index}: "
+            f"numerator {to_decimal(report.numerator)}, "
+            f"denominator {to_decimal(report.denominator)}, "
+            f"remainder {to_decimal(report.remainder)}"
+        )
+    if isinstance(report, BreakdownReport):
+        lines = [f"scanned {report.spec.name} for {report.terms_checked} terms"]
+        event = report.first_nonintegral
+        lines.append("all terms integral" if event is None else emit_report_text(event))
+        witness = report.first_noncoprime
+        if report.depth is not None and witness is None:
+            lines.append(f"no common factors up to depth {report.depth}")
+        elif report.depth is not None:
+            lines.append(
+                f"first common factor at index {witness.index}, offset {witness.offset}: "
+                f"gcd = {to_decimal(witness.gcd)}"
+            )
+        return "\n".join(lines)
+    if isinstance(report, LemmaHarnessReport):
+        return "\n".join(
+            f"{r.lemma}: {r.samples} samples, {r.failures} counterexamples" for r in report.results
+        )
+    raise TypeError(f"no text form for {type(report).__name__}")
 
 
 def _certificate_payload(certificate: DivisibilityCertificate) -> dict:

@@ -20,7 +20,6 @@ from .engine import (
     as_integer,
     new_state,
     next_term,
-    somos_k_spec,  # defined with the engine's specs; still importable from here
 )
 
 
@@ -55,10 +54,9 @@ def _rational_prefix(spec: SequenceSpec, max_terms: int):
     term when event is not None.  The event is the engine's own: one
     integer-mode step over the k integral terms before it.
     """
-    spec.validate()
+    buffer = new_state(spec)
     if max_terms < spec.order:
         raise ValueError(f"max_terms must be at least the order {spec.order}")
-    buffer = new_state(spec)
     while buffer.next_index < max_terms:
         n = buffer.next_index
         if next_term(buffer, spec, RATIONAL).denominator != 1:

@@ -8,6 +8,7 @@ hand-expanded reduction chain is the reference for certificates.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 
@@ -48,9 +49,15 @@ def certificate_oracle(values, n):
     spelled out as a product of single terms and every congruence is
     reduced mod a_{n-5}.  Returns the fields of a DivisibilityCertificate
     in declaration order, nested as tests/test_certificate.py::oracle_layout
-    lays them out.
+    lays them out.  The result is memoized on exactly what it reads: n and
+    a_{n-1}, ..., a_{n-10}.
     """
-    t = {d: values[n - d] for d in range(1, 11)}
+    return _certificate_oracle(n, tuple(values[n - d] for d in range(1, 11)))
+
+
+@cache
+def _certificate_oracle(n, window):
+    t = dict(enumerate(window, start=1))
     m = t[5]
     numerator = t[1] * t[4] + t[2] * t[3]
     shifts = []

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 from pathlib import Path
@@ -598,6 +599,80 @@ class TestNonIntegralWitness:
         )
 
 
+SOMOS8_EVENT = "non-integral term at index 17: numerator 420514, denominator 7, remainder 3\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        (["generate", "--k", "8", "--count", "30"], 1, SOMOS8_EVENT),
+        (["verify", "--count", "40"], 0, "coprime-window over n in [4, 40): 36 checked, pass\n"),
+        (
+            ["verify", "--k", "6", "--count", "40"],
+            1,
+            "coprime-window over n in [4, 40): 5 checked, FAIL; "
+            "first failure at n = 8 (gcd(a_8, a_6) = 3)\n",
+        ),
+        (["certify", "--count", "12"], 0, "certificate over n in [10, 12): 2 checked, pass\n"),
+        (
+            ["certify", "--index", "10"],
+            0,
+            "certificate n = 10: valid (precondition gcd 1, residue 0)\n",
+        ),
+        (
+            ["lemmas", "--samples", "300", "--seed", "4"],
+            0,
+            "product: 300 samples, 0 counterexamples\n"
+            "pairwise: 300 samples, 0 counterexamples\n"
+            "shift: 300 samples, 0 counterexamples\n"
+            "cancellation: 300 samples, 0 counterexamples\n",
+        ),
+        (
+            ["scan", "--k", "5", "--count", "40"],
+            0,
+            "scanned somos-5 for 40 terms\n"
+            "all terms integral\n"
+            "no common factors up to depth 4\n",
+        ),
+        (
+            ["scan", "--k", "6", "--count", "40"],
+            1,
+            "scanned somos-6 for 40 terms\n"
+            "all terms integral\n"
+            "first common factor at index 8, offset 2: gcd = 3\n",
+        ),
+        (
+            ["scan", "--k", "8", "--count", "30"],
+            1,
+            "scanned somos-8 for 18 terms\n"
+            + SOMOS8_EVENT
+            + "first common factor at index 14, offset 3: gcd = 25\n",
+        ),
+        (
+            ["crosscheck", "--input", str(FIXTURE), "--count", "20"],
+            0,
+            "crosscheck over n in [0, 20): 20 checked, pass\n",
+        ),
+    ],
+    ids=[
+        "generate-k8",
+        "verify",
+        "verify-k6",
+        "certify-range",
+        "certify-index",
+        "lemmas",
+        "scan-k5",
+        "scan-k6",
+        "scan-k8",
+        "crosscheck",
+    ],
+)
+def test_text_lines_are_byte_stable(capsys, argv, code, out):
+    # Every text form main prints, pinned byte for byte with its exit code.
+    assert main(argv) == code
+    assert capsys.readouterr().out == out
+
+
 class TestUsage:
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -609,3 +684,22 @@ class TestUsage:
             main(["--version"])
         assert excinfo.value.code == 0
         assert "somos" in capsys.readouterr().out
+
+
+def test_main_alone_prints_results_and_maps_exit_codes():
+    # Each cmd_* returns (result, passed); only main emits and picks the code.
+    tree = ast.parse(Path(somos.cli.__file__).read_text(encoding="utf-8"))
+    commands = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")
+    ]
+    assert len(commands) == 6
+    named = {
+        f"{command.name}: {node.id}"
+        for command in commands
+        for node in ast.walk(command)
+        if isinstance(node, ast.Name)
+        and (node.id in ("emit_report_json", "emit_report_text") or node.id.startswith("EXIT_"))
+    }
+    assert not named

@@ -12,7 +12,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import somos.engine
-import somos.scanner
 from somos import (
     INTEGER,
     RATIONAL,
@@ -614,4 +613,4 @@ def test_as_integer():
 
 def test_one_somos_k_spec():
     assert somos5_spec() == somos_k_spec(5) and somos5_spec().name == "somos-5"
-    assert somos.scanner.somos_k_spec is somos.engine.somos_k_spec is somos_k_spec
+    assert somos.engine.somos_k_spec is somos_k_spec

@@ -27,7 +27,7 @@ from somos import (
     somos_k_spec,
     verify_coprime_range,
 )
-from somos.formats import from_decimal, term_text, to_decimal
+from somos.formats import emit_report_text, from_decimal, term_text, to_decimal
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "b006721.txt"
 
@@ -320,3 +320,17 @@ class TestReportJson:
         assert payload["kind"] == "terms"
         assert payload["terms"][-1] == "274"
         assert payload["start_index"] == 0
+
+
+class TestReportText:
+    def test_invalid_certificate_line(self, somos5_values):
+        values = list(somos5_values[:12])
+        values[9] = 36
+        cert = build_certificate(SequenceBuffer(values), 10)
+        assert emit_report_text(cert) == (
+            "certificate n = 10: INVALID (precondition gcd 1, residue 1)"
+        )
+
+    def test_unknown_type_rejected(self):
+        with pytest.raises(TypeError):
+            emit_report_text(object())
