@@ -10,7 +10,8 @@ limits of CPython 3.11's builtins:
   * str() and int() refuse an integer past the interpreter's int<->str
     digit limit (4,300 digits by default).  to_decimal and from_decimal
     are the builtins up to that limit, and a divide-and-conquer
-    conversion, in leaves of _LEAF_DIGITS digits, past it.
+    conversion, in leaves of _LEAF_DIGITS digits, past it.  decimal_repr,
+    a dataclass __repr__, prints field values through to_decimal.
 
 Every result is exact at any size, and no function touches process-wide
 state.  This module imports nothing from the package.
@@ -19,6 +20,7 @@ state.  This module imports nothing from the package.
 from __future__ import annotations
 
 import re
+from dataclasses import fields
 from functools import cache
 
 # Divisions with a divisor or quotient of at most this many bits are left
@@ -130,6 +132,26 @@ def to_decimal(value: int) -> str:
     except ValueError:  # past the digit limit
         digits = _int_to_digits(abs(value))
         return "-" + digits if value < 0 else digits
+
+
+def decimal_repr(self) -> str:
+    """The dataclass default repr, with every int printed through to_decimal.
+
+    Assigned as __repr__ in a dataclass body, it lists the fields the
+    default repr would, and prints ints, also inside tuples, in full
+    where repr() would raise ValueError past the digit limit.
+    """
+    shown = (f"{f.name}={_repr_text(getattr(self, f.name))}" for f in fields(self) if f.repr)
+    return f"{type(self).__qualname__}({', '.join(shown)})"
+
+
+def _repr_text(value) -> str:
+    if isinstance(value, int):
+        return to_decimal(value)
+    if isinstance(value, tuple):
+        items = [_repr_text(item) for item in value]
+        return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+    return repr(value)
 
 
 def from_decimal(text: str) -> int:

@@ -69,7 +69,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from math import gcd
 
-from .bigint import _divmod, to_decimal
+from .bigint import _divmod, decimal_repr, to_decimal
 from .coprime import VerificationReport, first_failure
 from .coprime import coprimality_rule, derived_offsets
 from .engine import SequenceBuffer, _sides, as_integer, recurrence_holds, somos5_spec
@@ -122,6 +122,8 @@ class ChainStep:
     verified: bool
     dropped_multiple: int | None = None
 
+    __repr__ = decimal_repr
+
 
 @dataclass(frozen=True)
 class DivisibilityCertificate:
@@ -139,6 +141,8 @@ class DivisibilityCertificate:
     numerator_residue: int
     valid: bool
     window: tuple[int, ...] = field(repr=False)
+
+    __repr__ = decimal_repr
 
     @cached_property
     def chain(self) -> tuple[ChainStep, ...]:

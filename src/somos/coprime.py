@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from math import gcd
 
-from .bigint import to_decimal
+from .bigint import decimal_repr, to_decimal
 from .engine import SequenceBuffer, SequenceSpec, as_integer, first_recurrence_violation
 from .engine import window_start
 from .errors import IndexOutOfRangeError
@@ -85,6 +85,8 @@ class LemmaCheckResult:
     failures: int
     first_counterexample: tuple[int, ...] | None
 
+    __repr__ = decimal_repr
+
 
 @dataclass(frozen=True)
 class LemmaHarnessReport:
@@ -92,6 +94,8 @@ class LemmaHarnessReport:
     samples: int
     bound: int
     results: tuple[LemmaCheckResult, ...]
+
+    __repr__ = decimal_repr
 
     @property
     def passed(self) -> bool:
@@ -139,6 +143,8 @@ class CoprimeWindowReport:
     depth: int
     gcds: tuple[int, ...]
     passed: bool
+
+    __repr__ = decimal_repr
 
 
 def verify_coprime_window(

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, Union
 
-from .bigint import _divmod, term_text, to_decimal
+from .bigint import _divmod, decimal_repr, term_text
 from .errors import (
     IndexOutOfRangeError,
     InvalidSpecError,
@@ -45,6 +45,8 @@ class SequenceSpec:
     summands: tuple[tuple[int, int], ...]
     initials: tuple[int, ...]
     name: str | None = None
+
+    __repr__ = decimal_repr
 
     def __post_init__(self):
         object.__setattr__(
@@ -75,7 +77,7 @@ class SequenceSpec:
             )
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class NonIntegralEvent:
     """Witness that the bilinear sum was not divisible by a_{n-k}.
 
@@ -87,11 +89,7 @@ class NonIntegralEvent:
     denominator: int
     remainder: int
 
-    def __repr__(self) -> str:
-        return (
-            f"NonIntegralEvent(index={self.index}, numerator={to_decimal(self.numerator)}, "
-            f"denominator={to_decimal(self.denominator)}, remainder={to_decimal(self.remainder)})"
-        )
+    __repr__ = decimal_repr
 
 
 class SequenceBuffer:

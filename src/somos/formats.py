@@ -4,7 +4,8 @@ All arithmetic payloads (term values, gcds, residues) are rendered as
 decimal strings so no JSON consumer can lose precision; structural
 fields (indices, counts, offsets) stay plain numbers.  Emission is
 deterministic: fixed key order, no timestamps, byte-identical output for
-identical inputs.  The schema carries a version field, currently "1".
+identical inputs.  Every document opens with schema_version, currently
+"1", then kind; _document alone lays out that envelope.
 Each result type has one JSON form and one text form, laid out here
 side by side.
 """
@@ -57,28 +58,54 @@ def emit_bfile(buffer: SequenceBuffer) -> str:
 
 def emit_terms_json(buffer: SequenceBuffer, name: str | None = None) -> str:
     """Versioned JSON list of a buffer's terms as exact decimal strings."""
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "terms",
-        "name": name,
-        "start_index": buffer.start_index,
-        "terms": [term_text(value) for _, value in buffer.items()],
-    }
-    return json.dumps(payload, indent=2)
+    terms = [term_text(value) for _, value in buffer.items()]
+    return _document("terms", {"name": name, "start_index": buffer.start_index, "terms": terms})
 
 
 def emit_report_json(report) -> str:
     """Serialize any report/certificate type to its versioned JSON form."""
-    return json.dumps(_payload(report), indent=2)
+    return _document(*_payload(report))
 
 
-def _payload(report) -> dict:
+def _document(kind: str, body: dict) -> str:
+    """The one JSON document layout: schema_version, then kind, then the body."""
+    return json.dumps({"schema_version": SCHEMA_VERSION, "kind": kind, **body}, indent=2)
+
+
+def _payload(report) -> tuple[str, dict]:
+    """(kind, body) of a report/certificate type's JSON document."""
     if isinstance(report, DivisibilityCertificate):
-        return _certificate_payload(report)
+        return "divisibility_certificate", {
+            "index": report.index,
+            "modulus": to_decimal(report.modulus),
+            "precondition_gcd": to_decimal(report.precondition_gcd),
+            "shifts": [
+                {
+                    "shift": s.shift,
+                    "lhs": to_decimal(s.lhs),
+                    "rhs": to_decimal(s.rhs),
+                    "holds": s.holds,
+                }
+                for s in report.shifts
+            ],
+            "chain": [
+                {
+                    "step": step.step_no,
+                    "kind": step.kind,
+                    "value": to_decimal(step.value),
+                    "congruent_to_prev": step.congruent_to_prev,
+                    "verified": step.verified,
+                    "dropped_multiple": None
+                    if step.dropped_multiple is None
+                    else to_decimal(step.dropped_multiple),
+                }
+                for step in report.chain
+            ],
+            "numerator_residue": to_decimal(report.numerator_residue),
+            "valid": report.valid,
+        }
     if isinstance(report, VerificationReport):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "verification_report",
+        return "verification_report", {
             "check": report.check,
             "start": report.start,
             "stop": report.stop,
@@ -88,15 +115,9 @@ def _payload(report) -> dict:
             "first_failure_reason": report.first_failure_reason,
         }
     if isinstance(report, NonIntegralEvent):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "non_integral_event",
-            **_event_payload(report),
-        }
+        return "non_integral_event", _event_payload(report)
     if isinstance(report, BreakdownReport):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "breakdown_report",
+        return "breakdown_report", {
             "spec": _spec_payload(report.spec),
             "terms_checked": report.terms_checked,
             "depth": report.depth,
@@ -104,9 +125,7 @@ def _payload(report) -> dict:
             "first_noncoprime": _witness_payload(report.first_noncoprime),
         }
     if isinstance(report, LemmaHarnessReport):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "lemma_harness_report",
+        return "lemma_harness_report", {
             "seed": report.seed,
             "samples": report.samples,
             "bound": report.bound,
@@ -166,40 +185,6 @@ def emit_report_text(report) -> str:
             f"{r.lemma}: {r.samples} samples, {r.failures} counterexamples" for r in report.results
         )
     raise TypeError(f"no text form for {type(report).__name__}")
-
-
-def _certificate_payload(certificate: DivisibilityCertificate) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "divisibility_certificate",
-        "index": certificate.index,
-        "modulus": to_decimal(certificate.modulus),
-        "precondition_gcd": to_decimal(certificate.precondition_gcd),
-        "shifts": [
-            {
-                "shift": s.shift,
-                "lhs": to_decimal(s.lhs),
-                "rhs": to_decimal(s.rhs),
-                "holds": s.holds,
-            }
-            for s in certificate.shifts
-        ],
-        "chain": [
-            {
-                "step": step.step_no,
-                "kind": step.kind,
-                "value": to_decimal(step.value),
-                "congruent_to_prev": step.congruent_to_prev,
-                "verified": step.verified,
-                "dropped_multiple": None
-                if step.dropped_multiple is None
-                else to_decimal(step.dropped_multiple),
-            }
-            for step in certificate.chain
-        ],
-        "numerator_residue": to_decimal(certificate.numerator_residue),
-        "valid": certificate.valid,
-    }
 
 
 def _spec_payload(spec: SequenceSpec) -> dict:

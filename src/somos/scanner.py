@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from .bigint import decimal_repr
 from .engine import (
     INTEGER,
     RATIONAL,
@@ -30,6 +31,8 @@ class NoncoprimeWitness:
     index: int
     offset: int
     gcd: int
+
+    __repr__ = decimal_repr
 
 
 @dataclass(frozen=True)
@@ -68,14 +71,7 @@ def _rational_prefix(spec: SequenceSpec, max_terms: int):
 
 def scan_integrality(spec: SequenceSpec, max_terms: int) -> BreakdownReport:
     """Locate the first index whose exact quotient is not an integer, if any."""
-    buffer, event = _rational_prefix(spec, max_terms)
-    return BreakdownReport(
-        spec=spec,
-        terms_checked=buffer.next_index,
-        depth=None,
-        first_nonintegral=event,
-        first_noncoprime=None,
-    )
+    return _scan(spec, max_terms, None)
 
 
 def scan_coprimality(spec: SequenceSpec, max_terms: int, depth: int = 4) -> BreakdownReport:
@@ -86,18 +82,15 @@ def scan_coprimality(spec: SequenceSpec, max_terms: int, depth: int = 4) -> Brea
     """
     if depth < 1:
         raise ValueError(f"depth must be positive, got {depth}")
+    return _scan(spec, max_terms, depth)
+
+
+def _scan(spec: SequenceSpec, max_terms: int, depth: int | None) -> BreakdownReport:
+    """Both scans: the rational prefix, then the gcd walk over its integral
+    part up to depth; depth None skips the walk."""
     buffer, event = _rational_prefix(spec, max_terms)
     integral_stop = event.index if event is not None else buffer.next_index
-    witness = None
-    for n in range(1, integral_stop):
-        value = as_integer(buffer.term(n))
-        for offset in range(1, min(depth, n) + 1):
-            g = gcd(value, as_integer(buffer.term(n - offset)))
-            if g != 1:
-                witness = NoncoprimeWitness(index=n, offset=offset, gcd=g)
-                break
-        if witness is not None:
-            break
+    witness = None if depth is None else _first_common_factor(buffer, integral_stop, depth)
     return BreakdownReport(
         spec=spec,
         terms_checked=buffer.next_index,
@@ -105,3 +98,14 @@ def scan_coprimality(spec: SequenceSpec, max_terms: int, depth: int = 4) -> Brea
         first_nonintegral=event,
         first_noncoprime=witness,
     )
+
+
+def _first_common_factor(buffer: SequenceBuffer, stop: int, depth: int):
+    """First gcd(a_n, a_{n-offset}) > 1 over n < stop, offsets 1..min(depth, n), or None."""
+    for n in range(1, stop):
+        value = as_integer(buffer.term(n))
+        for offset in range(1, min(depth, n) + 1):
+            g = gcd(value, as_integer(buffer.term(n - offset)))
+            if g != 1:
+                return NoncoprimeWitness(index=n, offset=offset, gcd=g)
+    return None

@@ -28,6 +28,7 @@ from somos import (
     somos5_spec,
     somos_k_spec,
 )
+from somos.bigint import to_decimal
 from somos.coprime import first_failure
 from somos.certificate import _chain_lines, _failure_reason
 from somos.engine import _identity, _sides
@@ -429,6 +430,12 @@ class TestCertifyRange:
         assert (report.passed, report.first_failure_index) == (False, 605)
         assert report.first_failure_reason == f"precondition gcd = {shared}"
         assert reason == f"numerator residue {residue} != 0"
+
+    def test_repr_past_the_digit_limit(self, somos5_buffer, digit_limit):
+        certificate = build_certificate(somos5_buffer(425), 425)
+        assert to_decimal(certificate.modulus) in repr(certificate)
+        for step in certificate.chain:
+            assert to_decimal(step.value) in repr(step)
 
 
 def outcome(run):

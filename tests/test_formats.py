@@ -22,6 +22,7 @@ from somos import (
     generate,
     parse_bfile,
     run_lemma_harness,
+    scan_coprimality,
     scan_integrality,
     somos5_spec,
     somos_k_spec,
@@ -320,6 +321,29 @@ class TestReportJson:
         assert payload["kind"] == "terms"
         assert payload["terms"][-1] == "274"
         assert payload["start_index"] == 0
+
+
+# One document of each kind, built fresh for each parametrized case.
+DOCUMENTS = {
+    "terms": lambda: emit_terms_json(generate(somos5_spec(), 12), name="somos-5"),
+    "verification_report": lambda: emit_report_json(
+        verify_coprime_range(generate(somos5_spec(), 30), depth=4)
+    ),
+    "non_integral_event": lambda: emit_report_json(
+        scan_integrality(somos_k_spec(8), 30).first_nonintegral
+    ),
+    "breakdown_report": lambda: emit_report_json(scan_coprimality(somos_k_spec(7), 30)),
+    "lemma_harness_report": lambda: emit_report_json(run_lemma_harness(seed=1, samples=5)),
+    "divisibility_certificate": lambda: emit_report_json(
+        build_certificate(generate(somos5_spec(), 12), 10)
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", DOCUMENTS)
+def test_every_document_opens_with_its_envelope(kind):
+    document = json.loads(DOCUMENTS[kind]())
+    assert list(document.items())[:2] == [("schema_version", "1"), ("kind", kind)]
 
 
 class TestReportText:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -121,6 +122,14 @@ class TestAgreementWithCertificates:
         report = scan_integrality(somos5_spec(), 120)
         assert report.first_nonintegral is None
         assert certify_range(somos5_buffer(120), 10, 120).passed
+
+
+@pytest.mark.parametrize("count", [8, 20, 60])
+@pytest.mark.parametrize("k", range(4, 9))
+def test_integrality_scan_is_the_coprimality_scan_without_its_walk(k, count):
+    spec = somos_k_spec(k)
+    walked = scan_coprimality(spec, count, 1)
+    assert scan_integrality(spec, count) == replace(walked, depth=None, first_noncoprime=None)
 
 
 def test_scans_are_deterministic():
