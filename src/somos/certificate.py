@@ -156,12 +156,7 @@ def _window(buffer: SequenceBuffer, n: int) -> tuple[int, ...]:
         raise IndexOutOfRangeError(
             f"certificates start at n = {CERTIFICATE_START}, got n = {n}"
         )
-    if not buffer.has_range(n - 10, n - 1):
-        raise IndexOutOfRangeError(
-            f"certificate at n = {n} needs indices {n - 10}..{n - 1}, buffer holds "
-            f"[{buffer.start_index}, {buffer.next_index})"
-        )
-    return (0,) + tuple(as_integer(buffer.term(n - d)) for d in range(1, 11))
+    return (0,) + tuple(as_integer(v) for v in buffer.window(n - 1, 9))
 
 
 def _shift_identities(t, n: int, holds) -> tuple[IndexShiftIdentity, ...]:

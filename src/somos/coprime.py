@@ -20,7 +20,6 @@ from math import gcd
 from .bigint import decimal_repr, to_decimal
 from .engine import SequenceBuffer, SequenceSpec, as_integer, first_recurrence_violation
 from .engine import window_start
-from .errors import IndexOutOfRangeError
 
 DEFAULT_SAMPLES = 10_000
 DEFAULT_BOUND = 10**6
@@ -152,22 +151,32 @@ def verify_coprime_window(
 ) -> CoprimeWindowReport:
     """Report gcd(a_n, a_{n-i}) for i = 1..depth; passes when all equal 1.
 
-    Offsets in proven are reported as gcd 1 without computing it.  Pass
-    only offsets whose coprimality is already established, as
-    verify_recurrence_and_windows does from the recurrence identity.
+    The terms are read as buffer.window(n, depth), and window_gcds takes
+    their gcds.  Offsets in proven are reported as gcd 1 without
+    computing it.  Pass only offsets whose coprimality is already
+    established, as verify_recurrence_and_windows does from the
+    recurrence identity.
     """
     _require_depth(depth)
-    if not buffer.has_range(n - depth, n):
-        raise IndexOutOfRangeError(
-            f"window {n - depth}..{n} not covered by buffer "
-            f"[{buffer.start_index}, {buffer.next_index})"
-        )
-    value = as_integer(buffer.term(n))
-    gcds = tuple(
-        1 if i in proven else gcd(value, as_integer(buffer.term(n - i)))
-        for i in range(1, depth + 1)
-    )
+    gcds = window_gcds(buffer.window(n, depth), proven)
     return CoprimeWindowReport(index=n, depth=depth, gcds=gcds, passed=all(g == 1 for g in gcds))
+
+
+def window_gcds(t, proven: frozenset[int] = frozenset()) -> tuple[int, ...]:
+    """gcd(a_n, a_{n-d}) for d = 1..len(t) - 1 over a window t[d] = a_{n-d},
+    with each offset in proven set to 1 uncomputed.
+
+    This is the one gcd window; verify and the scanner both read it.
+    as_integer converts a_n first, then each term where its gcd is
+    taken, so a non-integral term raises ValueError there.
+    """
+    value = as_integer(t[0])
+    return tuple(1 if d in proven else gcd(value, as_integer(t[d])) for d in range(1, len(t)))
+
+
+def first_offender(gcds: tuple[int, ...]) -> int | None:
+    """The first offset d whose gcd, gcds[d - 1], is not 1, or None."""
+    return next((d for d, g in enumerate(gcds, 1) if g != 1), None)
 
 
 @dataclass(frozen=True)
@@ -253,13 +262,13 @@ def verify_recurrence_and_windows(
     the identity, with the facts (j, d) for j in [start, n) and d in
     1..depth: the window at j has passed, by the walk order that
     derived_offsets states.  So each window failure comes from a
-    computed gcd.  The terms a_{n-k} .. a_n are integers by then: a_n is
-    converted before any gcd, and each earlier one is the own term of a
-    window that passed, or one of the depth terms before the range,
-    which the first window, deriving nothing, converts; a term that is
-    not integral raises there, as in verify_coprime_range.  For Somos-5 at
-    depth 2 or more, offsets 1 .. min(depth, 4) are derived from the
-    fourth window of the range on.
+    computed gcd.  The terms a_{n-k} .. a_n are integers by then:
+    window_gcds converts a_n before any gcd, and each earlier one is the
+    own term of a window that passed, or one of the depth terms before
+    the range, which the first window, deriving nothing, converts; a
+    term that is not integral raises there, as in verify_coprime_range.
+    For Somos-5 at depth 2 or more, offsets 1 .. min(depth, 4) are
+    derived from the fourth window of the range on.
 
     A depth below 1 is refused after the identity pass and before the
     first window, so even a range with no window raises ValueError
@@ -289,10 +298,10 @@ def verify_recurrence_and_windows(
 
 def _window_reason(report: CoprimeWindowReport) -> str | None:
     """The failure reason of a window, naming its first offset with a common factor."""
-    if report.passed:
+    offender = first_offender(report.gcds)
+    if offender is None:
         return None
     n = report.index
-    offender = next(i + 1 for i, g in enumerate(report.gcds) if g != 1)
     return f"gcd(a_{n}, a_{n - offender}) = {to_decimal(report.gcds[offender - 1])}"
 
 

@@ -96,6 +96,8 @@ class SequenceBuffer:
     """Indexed history of computed terms.
 
     terms[m] is the sequence value at absolute index start_index + m.
+    term(n) reads one value; window(n, depth) reads a_n and the depth
+    terms behind it, and every check reads the terms behind n that way.
     Only a buffer from generate(..., record=True) keeps an identity
     record: identity_holds[n] says whether the identity at n held when
     next_term appended a_n, for the summands in recurrence.
@@ -126,9 +128,17 @@ class SequenceBuffer:
             )
         return self._terms[index - self._start]
 
-    def has_range(self, lo: int, hi: int) -> bool:
-        """Whether all indices lo..hi (inclusive) are retained."""
-        return lo >= self._start and hi < self.next_index
+    def window(self, n: int, depth: int) -> tuple[Term, ...]:
+        """The tuple t with t[d] = a_{n-d} for d = 0..depth.
+
+        IndexOutOfRangeError if any of n - depth .. n is not retained.
+        """
+        lo = n - depth - self._start
+        if lo < 0 or n >= self.next_index:
+            raise IndexOutOfRangeError(
+                f"window [{n - depth}, {n}] not in buffer range [{self._start}, {self.next_index})"
+            )
+        return tuple(reversed(self._terms[lo : n - self._start + 1]))
 
     def append(self, value: Term) -> None:
         self._terms.append(value)
@@ -207,11 +217,7 @@ def next_term(buffer: SequenceBuffer, spec: SequenceSpec, mode: str = INTEGER):
         raise ValueError(f"unknown mode {mode!r}")
     k = spec.order
     n = buffer.next_index
-    if len(buffer) < k:
-        raise IndexOutOfRangeError(
-            f"buffer holds {len(buffer)} terms, need the last {k} to step"
-        )
-    window = [buffer.term(n - i) for i in range(1, k + 1)]  # a_{n-1} .. a_{n-k}
+    window = buffer.window(n - 1, k - 1)  # a_{n-1} .. a_{n-k}
     fractional = False
     if mode == RATIONAL:
         fractional = any(v.denominator != 1 for v in window)
@@ -353,6 +359,6 @@ def _sides(t, spec: SequenceSpec, s: int = 0) -> tuple:
 def _identity(buffer: SequenceBuffer, spec: SequenceSpec, n: int) -> bool:
     """Whether a_n a_{n-k} equals the bilinear sum, exactly; a_{n-k} .. a_n
     must be in the buffer."""
-    lhs, rhs = _sides([buffer.term(n - d) for d in range(spec.order + 1)], spec)
+    lhs, rhs = _sides(buffer.window(n, spec.order), spec)
     return lhs == rhs
 

@@ -4,14 +4,16 @@ For k in {4, 5, 6, 7} the all-ones recurrence stays integral; from k = 8
 on it breaks down.  The scans run in rational mode so the first
 non-integral term is located with its exact value instead of aborting,
 and the integer-mode engine can be cross-checked against the prefix.
+The gcd walk reads each window as buffer.window(n, depth) and takes its
+gcds with coprime.window_gcds, the helper verify_coprime_window uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .bigint import decimal_repr
+from .coprime import first_offender, window_gcds
 from .engine import (
     INTEGER,
     RATIONAL,
@@ -64,7 +66,7 @@ def _rational_prefix(spec: SequenceSpec, max_terms: int):
         n = buffer.next_index
         if next_term(buffer, spec, RATIONAL).denominator != 1:
             k = spec.order
-            window = [as_integer(buffer.term(i)) for i in range(n - k, n)]
+            window = [as_integer(v) for v in reversed(buffer.window(n - 1, k - 1))]
             return buffer, next_term(SequenceBuffer(window, start_index=n - k), spec, INTEGER)
     return buffer, None
 
@@ -101,11 +103,13 @@ def _scan(spec: SequenceSpec, max_terms: int, depth: int | None) -> BreakdownRep
 
 
 def _first_common_factor(buffer: SequenceBuffer, stop: int, depth: int):
-    """First gcd(a_n, a_{n-offset}) > 1 over n < stop, offsets 1..min(depth, n), or None."""
+    """First gcd(a_n, a_{n-offset}) > 1 over n < stop, offsets 1..min(depth, n), or None.
+
+    Each window is read whole; its first offender is the witness.
+    """
     for n in range(1, stop):
-        value = as_integer(buffer.term(n))
-        for offset in range(1, min(depth, n) + 1):
-            g = gcd(value, as_integer(buffer.term(n - offset)))
-            if g != 1:
-                return NoncoprimeWitness(index=n, offset=offset, gcd=g)
+        gcds = window_gcds(buffer.window(n, min(depth, n)))
+        offset = first_offender(gcds)
+        if offset is not None:
+            return NoncoprimeWitness(index=n, offset=offset, gcd=gcds[offset - 1])
     return None

@@ -404,11 +404,19 @@ class TestRationalAgainstOracle:
 
 
 class TestBufferRetention:
-    def test_has_range(self):
-        buffer = SequenceBuffer([1, 2, 3], start_index=7)
-        assert buffer.has_range(7, 9)
-        assert not buffer.has_range(6, 9)
-        assert not buffer.has_range(7, 10)
+    def test_window_reads_back_from_n(self, somos5_values):
+        buffer = SequenceBuffer(list(somos5_values[7:20]), start_index=7)
+        for n in range(7, 20):
+            for depth in range(n - 7 + 1):
+                t = buffer.window(n, depth)
+                assert t == tuple(somos5_values[n - d] for d in range(depth + 1))
+        assert buffer.window(12, 0) == (somos5_values[12],)
+
+    @pytest.mark.parametrize("n, depth", [(9, 3), (7, 1), (20, 0), (21, 5), (19, 13)])
+    def test_window_past_the_retained_range(self, n, depth):
+        buffer = SequenceBuffer(list(range(13)), start_index=7)
+        with pytest.raises(IndexOutOfRangeError, match=rf"\[{n - depth}, {n}\].*\[7, 20\)"):
+            buffer.window(n, depth)
 
     def test_below_a_negative_start(self):
         below = SequenceBuffer([1, 2, 3], start_index=-2).below(0)

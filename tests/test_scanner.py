@@ -136,3 +136,29 @@ def test_scans_are_deterministic():
     first = scan_coprimality(somos_k_spec(6), 60, depth=3)
     second = scan_coprimality(somos_k_spec(6), 60, depth=3)
     assert first == second
+
+
+def _first_common_factor_oracle(terms, depth):
+    """The first (n, offset, gcd) with gcd(a_n, a_{n-offset}) > 1 over the
+    integral prefix of terms, offsets 1..min(depth, n), by brute force."""
+    integral = terms[: first_fractional_index(terms)]
+    for n in range(len(integral)):
+        for offset in range(1, min(depth, n) + 1):
+            g = gcd(int(integral[n]), int(integral[n - offset]))
+            if g != 1:
+                return n, offset, g
+    return None
+
+
+@pytest.mark.parametrize("counting", [False, True], ids=["ones", "counting"])
+@pytest.mark.parametrize("depth", range(1, 6))
+@pytest.mark.parametrize("k", range(4, 9))
+def test_coprimality_witness_matches_brute_force(k, depth, counting):
+    # Initials 1..k put common factors inside the partial windows n < depth.
+    initials = tuple(range(1, k + 1)) if counting else (1,) * k
+    spec = SequenceSpec(order=k, summands=SOMOS_SUMMANDS[k], initials=initials)
+    witness = scan_coprimality(spec, 40, depth).first_noncoprime
+    found = None if witness is None else (witness.index, witness.offset, witness.gcd)
+    assert found == _first_common_factor_oracle(
+        fraction_terms(k, SOMOS_SUMMANDS[k], 40, initials), depth
+    )
