@@ -11,10 +11,12 @@ validity rests on three facts, all established when it is built:
   * the residue of the numerator modulo a_{n-5}, which must be zero.
 
 Shift s at n is the recurrence at n - s, so along a range each identity
-belongs to five consecutive certificates.  A certificate reads them
-through holds(j), whether the recurrence at j holds over its buffer:
-engine.recurrence_holds, which reads the record generate(...,
-record=True) keeps on the buffer, else evaluates engine._identity.
+belongs to five consecutive certificates.  check_index_shifts is the one
+shift reader: every certificate gets its shifts and its window from it.
+It reads each shift through holds(j), whether the recurrence at j holds
+over the buffer: engine.recurrence_holds, which reads the record
+generate(..., record=True) keeps on the buffer, else evaluates
+engine._identity.
 certify_range hands every certificate one reader, cached for the range;
 a certificate built alone reads through the uncached one.  The
 recurrence at n also settles the residue: where a_n is an integral term
@@ -159,17 +161,19 @@ def _window(buffer: SequenceBuffer, n: int) -> tuple[int, ...]:
     return (0,) + tuple(as_integer(v) for v in buffer.window(n - 1, 9))
 
 
-def _shift_identities(t, n: int, holds) -> tuple[IndexShiftIdentity, ...]:
-    """Shifts 5 down to 1 at n over the window t; shift s is the fact at n - s."""
-    return tuple(IndexShiftIdentity(shift=s, holds=holds(n - s), window=t) for s in range(5, 0, -1))
+def check_index_shifts(
+    buffer: SequenceBuffer, n: int, holds=None
+) -> tuple[IndexShiftIdentity, ...]:
+    """The five shifted recurrence identities at n, shifts 5 down to 1.
 
-
-def check_index_shifts(buffer: SequenceBuffer, n: int) -> tuple[IndexShiftIdentity, ...]:
-    """Evaluate the five shifted recurrence identities exactly, shifts 5 down to 1.
-
-    No command calls it; perfbench/trace_cli.py traces it by name.
+    Shift s is the fact holds(n - s), read in that order; every shift
+    keeps the one window t[d] = a_{n-d}, d = 1..10.  holds defaults to
+    the uncached engine.recurrence_holds over this buffer.
     """
-    return _shift_identities(_window(buffer, n), n, partial(recurrence_holds, buffer, _SOMOS5))
+    t = _window(buffer, n)
+    if holds is None:
+        holds = partial(recurrence_holds, buffer, _SOMOS5)
+    return tuple(IndexShiftIdentity(shift=s, holds=holds(n - s), window=t) for s in range(5, 0, -1))
 
 
 def build_certificate(
@@ -177,29 +181,30 @@ def build_certificate(
 ) -> DivisibilityCertificate:
     """Check the facts the certificate at index n rests on.
 
-    The shifts, the precondition and the residue are computed here; the
-    chain is evaluated when it is first read.  Returns the certificate
-    whether or not it is valid, so callers can inspect which fact broke.
+    The shifts come from check_index_shifts, with the window they keep;
+    the precondition and the residue are computed here, and the chain is
+    evaluated when it is first read.  Returns the certificate whether or
+    not it is valid, so callers can inspect which fact broke.
 
     holds(j) says whether the recurrence at j holds over this same
-    buffer.  It is read at n - 5 .. n - 1, for shifts 5 .. 1, then at n
-    where a_n is an integral term of the buffer: if that identity holds,
-    the residue is 0.  certify_range passes one reader cached for its
-    range; without it, engine.recurrence_holds is read directly.
+    buffer.  check_index_shifts reads it at n - 5 .. n - 1, for shifts
+    5 .. 1; it is then read at n where a_n is an integral term of the
+    buffer: if that identity holds, the residue is 0.  certify_range
+    passes one reader cached for its range; without it,
+    engine.recurrence_holds is read directly.
 
     known(j, d), when given, confirms gcd(a_j, a_{j-d}) = 1 for the
     facts coprime.derived_offsets asks about at n - 5; certify_range's
     holds by its walk (see the module docstring).  Without it, the
     precondition gcd is computed.
     """
-    t = _window(buffer, n)
+    if holds is None:
+        holds = partial(recurrence_holds, buffer, _SOMOS5)
+    shifts = check_index_shifts(buffer, n, holds)
+    t = shifts[0].window
     m = t[5]
     if m == 0:
         raise ZeroDenominatorError(n - 5, f"chain modulus a_{n - 5} is zero")
-    if holds is None:
-        holds = partial(recurrence_holds, buffer, _SOMOS5)
-
-    shifts = _shift_identities(t, n, holds)
     derived = derived_offsets(_RULE, n - 5, known) if known and shifts[0].holds else frozenset()
     precondition_gcd = 1 if {3, 4} <= derived else gcd(m, t[8] * t[9])
     if n < buffer.next_index and buffer.term(n).denominator == 1 and holds(n):

@@ -115,6 +115,11 @@ def _write(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _read_bfile(path: str):
+    with open(path, "r", encoding="utf-8") as handle:
+        return parse_bfile(handle.read())
+
+
 def cmd_generate(args):
     spec = somos_k_spec(args.k)
     buffer = generate(spec, args.count, mode=args.mode)
@@ -136,8 +141,7 @@ def cmd_verify(args):
             file=sys.stderr,
         )
     if args.input:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            parsed = parse_bfile(handle.read())
+        parsed = _read_bfile(args.input)
         buffer = parsed.below(args.count)
         first = parsed.start_index  # the buffer starts at count when the file starts past it
     else:
@@ -183,8 +187,7 @@ def cmd_scan(args):
 
 
 def cmd_crosscheck(args):
-    with open(args.input, "r", encoding="utf-8") as handle:
-        fixture = parse_bfile(handle.read()).below(args.count)
+    fixture = _read_bfile(args.input).below(args.count)
     spec = somos_k_spec(args.k)
     stop = fixture.next_index
     buffer = generate(spec, max(stop, 0), mode=INTEGER)  # stop < 0: an empty range

@@ -199,9 +199,11 @@ def next_term(buffer: SequenceBuffer, spec: SequenceSpec, mode: str = INTEGER):
     Raises ZeroDenominatorError when a_{n-k} is zero in either mode.
 
     Both modes share one integer step while a_{n-1} .. a_{n-k} are all
-    integral (int, or Fraction with denominator 1): one divmod of the
-    integer numerator decides exactness.  A rational window holding a
-    non-integral fraction goes to _fractional_step.
+    integral (int, or Fraction with denominator 1): as_integer converts
+    the window and one divmod of the integer numerator decides
+    exactness.  A rational window holding a non-integral fraction goes
+    to _fractional_step; in integer mode as_integer raises ValueError,
+    naming the term.
 
     When the buffer keeps an identity record for spec's recurrence (see
     generate) and the step appends a term a_n from an integral window,
@@ -218,12 +220,9 @@ def next_term(buffer: SequenceBuffer, spec: SequenceSpec, mode: str = INTEGER):
     k = spec.order
     n = buffer.next_index
     window = buffer.window(n - 1, k - 1)  # a_{n-1} .. a_{n-k}
-    fractional = False
-    if mode == RATIONAL:
-        fractional = any(v.denominator != 1 for v in window)
-        if not fractional:
-            # .numerator is the integer value of an int or an integral Fraction.
-            window = [v.numerator for v in window]
+    fractional = mode == RATIONAL and any(v.denominator != 1 for v in window)
+    if not fractional:
+        window = [as_integer(v) for v in window]
     denominator = window[-1]
     if denominator == 0:
         raise ZeroDenominatorError(n)

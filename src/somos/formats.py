@@ -13,6 +13,7 @@ side by side.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 from .bigint import _INT_FIELD, from_decimal, term_text, to_decimal
 from .certificate import DivisibilityCertificate
@@ -105,15 +106,7 @@ def _payload(report) -> tuple[str, dict]:
             "valid": report.valid,
         }
     if isinstance(report, VerificationReport):
-        return "verification_report", {
-            "check": report.check,
-            "start": report.start,
-            "stop": report.stop,
-            "checked": report.checked,
-            "passed": report.passed,
-            "first_failure_index": report.first_failure_index,
-            "first_failure_reason": report.first_failure_reason,
-        }
+        return "verification_report", asdict(report)
     if isinstance(report, NonIntegralEvent):
         return "non_integral_event", _event_payload(report)
     if isinstance(report, BreakdownReport):

@@ -2,8 +2,8 @@
 
 For k in {4, 5, 6, 7} the all-ones recurrence stays integral; from k = 8
 on it breaks down.  The scans run in rational mode so the first
-non-integral term is located with its exact value instead of aborting,
-and the integer-mode engine can be cross-checked against the prefix.
+non-integral term is located with its exact value instead of aborting;
+its witness is the integer-mode engine's own step over the prefix below it.
 The gcd walk reads each window as buffer.window(n, depth) and takes its
 gcds with coprime.window_gcds, the helper verify_coprime_window uses.
 """
@@ -14,16 +14,8 @@ from dataclasses import dataclass
 
 from .bigint import decimal_repr
 from .coprime import first_offender, window_gcds
-from .engine import (
-    INTEGER,
-    RATIONAL,
-    NonIntegralEvent,
-    SequenceBuffer,
-    SequenceSpec,
-    as_integer,
-    new_state,
-    next_term,
-)
+from .engine import INTEGER, RATIONAL, NonIntegralEvent, SequenceBuffer, SequenceSpec
+from .engine import new_state, next_term
 
 
 @dataclass(frozen=True)
@@ -56,8 +48,8 @@ def _rational_prefix(spec: SequenceSpec, max_terms: int):
     """Step in rational mode until max_terms or the first non-integral term.
 
     Returns (buffer, event); the buffer includes the offending fractional
-    term when event is not None.  The event is the engine's own: one
-    integer-mode step over the k integral terms before it.
+    term when event is not None.  The event is the engine's own: an
+    integer-mode step over the integral terms below it.
     """
     buffer = new_state(spec)
     if max_terms < spec.order:
@@ -65,9 +57,7 @@ def _rational_prefix(spec: SequenceSpec, max_terms: int):
     while buffer.next_index < max_terms:
         n = buffer.next_index
         if next_term(buffer, spec, RATIONAL).denominator != 1:
-            k = spec.order
-            window = [as_integer(v) for v in reversed(buffer.window(n - 1, k - 1))]
-            return buffer, next_term(SequenceBuffer(window, start_index=n - k), spec, INTEGER)
+            return buffer, next_term(buffer.below(n), spec, INTEGER)
     return buffer, None
 
 

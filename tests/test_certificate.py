@@ -160,6 +160,30 @@ class TestIndexShifts:
         shifts = check_index_shifts(SequenceBuffer(values), 10)
         assert not all(s.holds for s in shifts)
 
+    def test_every_certificate_reads_its_shifts_here(self, somos5_values, monkeypatch):
+        shift_calls, certificates = [], []
+        read_shifts = somos.certificate.check_index_shifts
+        build = somos.certificate.build_certificate
+
+        def count_shifts(buffer, n, holds=None):
+            shift_calls.append(n)
+            return read_shifts(buffer, n, holds)
+
+        def keep(*args):
+            certificates.append(build(*args))
+            return certificates[-1]
+
+        monkeypatch.setattr(somos.certificate, "check_index_shifts", count_shifts)
+        monkeypatch.setattr(somos.certificate, "build_certificate", keep)
+        values = list(somos5_values[:60])
+        report = certify_range(SequenceBuffer(values), 10, 60)
+        assert (report.passed, report.checked) == (True, 50)
+        assert shift_calls == list(range(10, 60))
+        certificates.append(build_certificate(SequenceBuffer(values), 42))
+        assert shift_calls[50:] == [42]
+        for certificate in certificates:
+            assert oracle_layout(certificate) == certificate_oracle(values, certificate.index)
+
 
 class TestCancellationPrecondition:
     def test_at_10(self, somos5_buffer):

@@ -29,6 +29,7 @@ from somos import (
     generate,
     new_state,
     next_term,
+    scan_integrality,
     somos5_spec,
     somos_k_spec,
 )
@@ -176,6 +177,24 @@ class TestNextTerm:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             next_term(new_state(somos5_spec()), somos5_spec(), "float")
+
+    def test_integer_mode_steps_an_integral_fraction_window(self):
+        buffer = SequenceBuffer([Fraction(1)] * 5)
+        value = next_term(buffer, somos5_spec(), INTEGER)
+        assert value == 2 and type(value) is int
+        assert buffer.term(5) == 2
+
+    def test_integer_mode_rejects_a_non_integral_window(self):
+        buffer = SequenceBuffer([Fraction(1), 1, Fraction(1, 2), 1, 1])
+        with pytest.raises(ValueError, match="1/2"):
+            next_term(buffer, somos5_spec(), INTEGER)
+        assert buffer.next_index == 5
+
+    def test_integer_step_on_a_rational_prefix_is_the_scan_witness(self):
+        spec = somos_k_spec(8)
+        event = next_term(generate(spec, 17, RATIONAL).below(17), spec, INTEGER)
+        assert event == NonIntegralEvent(17, 420514, 7, 3)
+        assert event == scan_integrality(spec, 100).first_nonintegral
 
 
 @st.composite
