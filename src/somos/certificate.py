@@ -131,7 +131,9 @@ class ChainStep:
 class DivisibilityCertificate:
     """Machine-checkable transcript that a_{n-5} divides the bilinear numerator.
 
-    valid follows from the shifts, the precondition and the residue alone.
+    valid is not an argument: construction derives it from the facts, as
+    _failure_reason(self) is None, so it follows from the precondition,
+    the shifts and the residue alone, and replace() derives it afresh.
     window[d] = a_{n-d} for d = 1..10 (window[0] is unused); the chain is
     evaluated from it on first read and cached.
     """
@@ -141,10 +143,13 @@ class DivisibilityCertificate:
     precondition_gcd: int
     shifts: tuple[IndexShiftIdentity, ...]
     numerator_residue: int
-    valid: bool
+    valid: bool = field(init=False)
     window: tuple[int, ...] = field(repr=False)
 
     __repr__ = decimal_repr
+
+    def __post_init__(self):
+        object.__setattr__(self, "valid", _failure_reason(self) is None)
 
     @cached_property
     def chain(self) -> tuple[ChainStep, ...]:
@@ -211,18 +216,12 @@ def build_certificate(
         numerator_residue = 0  # the numerator equals a_n * m exactly
     else:
         numerator_residue = _divmod(_sides(t, _SOMOS5)[1], m)[1]
-    valid = (
-        precondition_gcd == 1
-        and all(identity.holds for identity in shifts)
-        and numerator_residue == 0
-    )
     return DivisibilityCertificate(
         index=n,
         modulus=m,
         precondition_gcd=precondition_gcd,
         shifts=shifts,
         numerator_residue=numerator_residue,
-        valid=valid,
         window=t,
     )
 
@@ -310,12 +309,17 @@ def certify_range(
 
 
 def _failure_reason(certificate: DivisibilityCertificate) -> str | None:
-    """The first fact a certificate fails, or None when it is valid."""
-    if certificate.valid:
-        return None
+    """The first fact a certificate fails, or None when it is valid.
+
+    This is the one validity rule: the precondition gcd is 1, then every
+    shift holds, then the numerator residue is 0.  It reads the facts
+    alone, never certificate.valid, which construction derives from it.
+    """
     if certificate.precondition_gcd != 1:
         return f"precondition gcd = {to_decimal(certificate.precondition_gcd)}"
     for identity in certificate.shifts:
         if not identity.holds:
             return f"shift identity at offset {identity.shift} fails"
-    return f"numerator residue {to_decimal(certificate.numerator_residue)} != 0"
+    if certificate.numerator_residue != 0:
+        return f"numerator residue {to_decimal(certificate.numerator_residue)} != 0"
+    return None

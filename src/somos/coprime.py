@@ -149,7 +149,8 @@ class CoprimeWindowReport:
 def verify_coprime_window(
     buffer: SequenceBuffer, n: int, depth: int = 4, proven: frozenset[int] = frozenset()
 ) -> CoprimeWindowReport:
-    """Report gcd(a_n, a_{n-i}) for i = 1..depth; passes when all equal 1.
+    """Report gcd(a_n, a_{n-i}) for i = 1..depth; passes when first_offender
+    finds none, by the rule _window_reason and the scanner read.
 
     The terms are read as buffer.window(n, depth), and window_gcds takes
     their gcds.  Offsets in proven are reported as gcd 1 without
@@ -159,7 +160,7 @@ def verify_coprime_window(
     """
     _require_depth(depth)
     gcds = window_gcds(buffer.window(n, depth), proven)
-    return CoprimeWindowReport(index=n, depth=depth, gcds=gcds, passed=all(g == 1 for g in gcds))
+    return CoprimeWindowReport(index=n, depth=depth, gcds=gcds, passed=first_offender(gcds) is None)
 
 
 def window_gcds(t, proven: frozenset[int] = frozenset()) -> tuple[int, ...]:
@@ -314,7 +315,6 @@ def coprimality_rule(spec: SequenceSpec) -> dict[int, tuple[tuple[int, int], ...
     (3, 1)), 4: ((2, 2), (3, 1))}.  Somos-6 and Somos-7 give {}, since
     each offset misses at least two of their summands.
     """
-    spec.validate()
     rule = {}
     for o in range(1, spec.order):
         avoiding = [pair for pair in spec.summands if o not in pair]

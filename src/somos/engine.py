@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import index
 from typing import Iterator, Union
 
 from .bigint import _divmod, decimal_repr, term_text
@@ -39,6 +40,11 @@ class SequenceSpec:
     order: the lag k of the dividing term.
     summands: pairs (i, j), 1 <= i <= j <= k-1 and i + j = k.
     initials: exactly k starting values a_0 .. a_{k-1}.
+
+    Construction coerces every field with operator.index, so a value
+    that is not an integer (a float, a Fraction) raises TypeError
+    instead of being truncated, and then runs validate(), so every spec
+    that exists is valid and no user of one checks it again.
     """
 
     order: int
@@ -49,10 +55,10 @@ class SequenceSpec:
     __repr__ = decimal_repr
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "summands", tuple((int(i), int(j)) for i, j in self.summands)
-        )
-        object.__setattr__(self, "initials", tuple(int(v) for v in self.initials))
+        object.__setattr__(self, "order", index(self.order))
+        object.__setattr__(self, "summands", tuple((index(i), index(j)) for i, j in self.summands))
+        object.__setattr__(self, "initials", tuple(map(index, self.initials)))
+        self.validate()
 
     def validate(self) -> None:
         """Raise InvalidSpecError unless all structural invariants hold."""
@@ -131,8 +137,11 @@ class SequenceBuffer:
     def window(self, n: int, depth: int) -> tuple[Term, ...]:
         """The tuple t with t[d] = a_{n-d} for d = 0..depth.
 
-        IndexOutOfRangeError if any of n - depth .. n is not retained.
+        ValueError if depth is negative, and IndexOutOfRangeError if any
+        of n - depth .. n is not retained.
         """
+        if depth < 0:
+            raise ValueError(f"depth must be non-negative, got {depth}")
         lo = n - depth - self._start
         if lo < 0 or n >= self.next_index:
             raise IndexOutOfRangeError(
@@ -186,7 +195,6 @@ def somos5_spec() -> SequenceSpec:
 
 def new_state(spec: SequenceSpec) -> SequenceBuffer:
     """Fresh buffer holding exactly the k initial terms at indices 0..k-1."""
-    spec.validate()
     return SequenceBuffer(spec.initials, start_index=0)
 
 
@@ -200,9 +208,11 @@ def next_term(buffer: SequenceBuffer, spec: SequenceSpec, mode: str = INTEGER):
 
     Both modes share one integer step while a_{n-1} .. a_{n-k} are all
     integral (int, or Fraction with denominator 1): as_integer converts
-    the window and one divmod of the integer numerator decides
-    exactness.  A rational window holding a non-integral fraction goes
-    to _fractional_step; in integer mode as_integer raises ValueError,
+    the window, the numerator is the right side of _sides over it with 0
+    standing in for the unknown a_n, and one divmod of that integer
+    numerator decides exactness.  A rational window holding a
+    non-integral fraction goes to _fractional_step, which keeps its
+    unreduced pairs; in integer mode as_integer raises ValueError,
     naming the term.
 
     When the buffer keeps an identity record for spec's recurrence (see
@@ -229,7 +239,7 @@ def next_term(buffer: SequenceBuffer, spec: SequenceSpec, mode: str = INTEGER):
     if fractional:
         value = _fractional_step(window, spec.summands)
     else:
-        numerator = sum(window[i - 1] * window[j - 1] for i, j in spec.summands)
+        numerator = _sides((0, *window), spec)[1]
         quotient, remainder = _divmod(numerator, abs(denominator))
         if not remainder:
             value = quotient if denominator > 0 else -quotient
@@ -348,8 +358,11 @@ def _sides(t, spec: SequenceSpec, s: int = 0) -> tuple:
     as (lhs, rhs) = (a_{n-s} a_{n-s-k}, sum over summands (i, j) of
     a_{n-s-i} a_{n-s-j}).
 
-    This is the one statement of the identity.  It uses + and * alone,
-    so the window may hold integers, fractions or polynomial variables.
+    This is the one statement of the identity, and its rhs the one
+    statement of the integer bilinear sum: next_term and the certificate
+    residue take their numerator from it, with t[0] = 0 standing in for
+    the a_n not yet known.  It uses + and * alone, so the window may hold
+    integers, fractions or polynomial variables.
     """
     k = spec.order
     return t[s] * t[s + k], sum(t[s + i] * t[s + j] for i, j in spec.summands)

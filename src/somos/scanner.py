@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bigint import decimal_repr
-from .coprime import first_offender, window_gcds
+from .coprime import _require_depth, first_offender, window_gcds
 from .engine import INTEGER, RATIONAL, NonIntegralEvent, SequenceBuffer, SequenceSpec
 from .engine import new_state, next_term
 
@@ -70,10 +70,10 @@ def scan_coprimality(spec: SequenceSpec, max_terms: int, depth: int = 4) -> Brea
     """Locate the first gcd(a_n, a_{n-offset}) > 1 within the integral prefix.
 
     The gcd scan covers offsets 1..depth and stops at the first
-    non-integral term, which is reported alongside.
+    non-integral term, which is reported alongside.  A depth below 1
+    raises ValueError through coprime._require_depth before any step.
     """
-    if depth < 1:
-        raise ValueError(f"depth must be positive, got {depth}")
+    _require_depth(depth)
     return _scan(spec, max_terms, depth)
 
 

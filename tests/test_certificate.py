@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 import sys
 from contextlib import suppress
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 from math import floor, gcd
 
 import pytest
@@ -14,6 +14,7 @@ import somos.certificate
 import somos.engine
 from somos import (
     CERTIFICATE_START,
+    DivisibilityCertificate,
     RATIONAL,
     IndexOutOfRangeError,
     SequenceBuffer,
@@ -251,6 +252,42 @@ class TestBuildCertificate:
         assert not cert.valid
         assert not all(s.holds for s in cert.shifts)
 
+    def test_valid_follows_from_the_facts(self, somos5_buffer):
+        certificate = build_certificate(somos5_buffer(14), 13)
+        assert certificate.valid is True
+        assert replace(certificate, numerator_residue=1).valid is False
+        assert replace(certificate, precondition_gcd=5).valid is False
+        broken = replace(certificate.shifts[2], holds=False)
+        shifts = certificate.shifts[:2] + (broken,) + certificate.shifts[3:]
+        assert replace(certificate, shifts=shifts).valid is False
+        assert replace(replace(certificate, numerator_residue=1), numerator_residue=0).valid is True
+
+    def test_valid_is_not_an_argument(self, somos5_buffer):
+        certificate = build_certificate(somos5_buffer(14), 13)
+        facts = {f.name: getattr(certificate, f.name) for f in fields(certificate) if f.init}
+        assert DivisibilityCertificate(**facts) == certificate
+        with pytest.raises(TypeError):
+            DivisibilityCertificate(**facts, valid=True)
+        with pytest.raises(ValueError):
+            replace(certificate, valid=False)
+
+    def test_repr(self, somos5_values):
+        shifts = ", ".join(f"IndexShiftIdentity(shift={s}, holds={{}})" for s in range(5, 0, -1))
+        valid = build_certificate(SequenceBuffer(list(somos5_values[:14])), 13)
+        assert repr(valid) == (
+            "DivisibilityCertificate(index=13, modulus=11, precondition_gcd=1, shifts=("
+            + shifts.format(*[True] * 5)
+            + "), numerator_residue=0, valid=True)"
+        )
+        values = list(somos5_values[:16])
+        values[10] *= values[7]  # a_{n-5} shares a_{n-8} at n = 15
+        invalid = build_certificate(SequenceBuffer(values), 15)
+        assert repr(invalid) == (
+            "DivisibilityCertificate(index=15, modulus=415, precondition_gcd=5, shifts=("
+            + shifts.format(*[False] * 5)
+            + "), numerator_residue=249, valid=False)"
+        )
+
     def test_below_start_rejected(self, somos5_buffer):
         with pytest.raises(IndexOutOfRangeError):
             build_certificate(somos5_buffer(12), 9)
@@ -448,8 +485,8 @@ class TestCertifyRange:
         values[600] *= shared  # a_{n-5} at n = 605
         report = certify_range(SequenceBuffer(values), 605, 606)
         residue = 10**5000 + 1
-        invalid = replace(build_certificate(SequenceBuffer(values[:12]), 10), valid=False)
-        reason = _failure_reason(replace(invalid, numerator_residue=residue))
+        certificate = build_certificate(SequenceBuffer(values[:12]), 10)
+        reason = _failure_reason(replace(certificate, numerator_residue=residue))
         sys.set_int_max_str_digits(0)
         assert (report.passed, report.first_failure_index) == (False, 605)
         assert report.first_failure_reason == f"precondition gcd = {shared}"

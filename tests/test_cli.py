@@ -389,6 +389,11 @@ class TestScan:
         payload = json.loads(capsys.readouterr().out)
         assert payload["kind"] == "breakdown_report"
 
+    def test_negative_depth_is_a_usage_error(self, capsys):
+        assert main(["scan", "--k", "5", "--count", "40", "--depth", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: depth must be at least 1, got -1\n")
+
     @pytest.mark.parametrize("count, k", [("3", "5"), ("-1", "5"), ("6", "7")])
     def test_count_below_the_order_names_the_flag(self, capsys, count, k):
         assert main(["scan", "--k", k, "--count", count]) == 2

@@ -216,6 +216,14 @@ class TestCoprimeWindow:
         report = verify_coprime_window(buffer, 9, 5)
         assert report.depth == 5 and len(report.gcds) == 5
 
+    def test_repr(self, somos5_buffer):
+        assert repr(verify_coprime_window(somos5_buffer(14), 13)) == (
+            "CoprimeWindowReport(index=13, depth=4, gcds=(1, 1, 1, 1), passed=True)"
+        )
+        assert repr(verify_coprime_window(SequenceBuffer([2, 1, 1, 1, 4]), 4)) == (
+            "CoprimeWindowReport(index=4, depth=4, gcds=(1, 1, 1, 2), passed=False)"
+        )
+
     def test_missing_terms(self, somos5_buffer):
         buffer = somos5_buffer(12)
         with pytest.raises(IndexOutOfRangeError):

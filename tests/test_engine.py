@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import random
@@ -58,29 +59,64 @@ class TestSpecValidation:
         assert new_state(spec).values() == [1, 1, 1, 1]
 
     def test_summand_not_weight_homogeneous(self):
-        spec = SequenceSpec(order=5, summands=((1, 3),), initials=(1,) * 5)
         with pytest.raises(InvalidSpecError):
-            new_state(spec)
+            SequenceSpec(order=5, summands=((1, 3),), initials=(1,) * 5)
 
     def test_duplicate_summand(self):
-        spec = SequenceSpec(order=5, summands=((1, 4), (1, 4)), initials=(1,) * 5)
         with pytest.raises(InvalidSpecError):
-            spec.validate()
+            SequenceSpec(order=5, summands=((1, 4), (1, 4)), initials=(1,) * 5)
 
     def test_wrong_initials_length(self):
-        spec = SequenceSpec(order=5, summands=((1, 4),), initials=(1, 1, 1))
         with pytest.raises(InvalidSpecError):
-            spec.validate()
+            SequenceSpec(order=5, summands=((1, 4),), initials=(1, 1, 1))
 
     def test_empty_summands(self):
-        spec = SequenceSpec(order=5, summands=(), initials=(1,) * 5)
         with pytest.raises(InvalidSpecError):
-            spec.validate()
+            SequenceSpec(order=5, summands=(), initials=(1,) * 5)
 
     def test_summand_order_flipped(self):
-        spec = SequenceSpec(order=5, summands=((4, 1),), initials=(1,) * 5)
         with pytest.raises(InvalidSpecError):
-            spec.validate()
+            SequenceSpec(order=5, summands=((4, 1),), initials=(1,) * 5)
+
+    def test_non_integer_order_rejected(self):
+        # 5.0 passes validate(); only the coercion refuses it before a slice does.
+        with pytest.raises(TypeError):
+            SequenceSpec(order=5.0, summands=((1, 4), (2, 3)), initials=(1,) * 5)
+
+    def test_non_integer_summands_rejected(self):
+        # int() would truncate (1.7, 4.2) to the valid (1, 4).
+        with pytest.raises(TypeError):
+            SequenceSpec(order=5, summands=((1.7, 4.2), (2, 3)), initials=(1,) * 5)
+
+    @pytest.mark.parametrize(
+        "initials", [(1.5, 1, 1, 1, 1.9), (Fraction(1, 2), 1, 1, 1, 1)], ids=["floats", "half"]
+    )
+    def test_non_integer_initials_rejected(self, initials):
+        # int() would truncate these to a valid all-ones start and a leading 0.
+        with pytest.raises(TypeError):
+            SequenceSpec(order=5, summands=((1, 4), (2, 3)), initials=initials)
+
+    def test_only_the_spec_validates_itself(self):
+        def validate_calls(node):
+            return [
+                call
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "validate"
+            ]
+
+        outside = []
+        for path in sorted(Path(somos.engine.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            inside = {
+                id(call)
+                for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "SequenceSpec"
+                for call in validate_calls(node)
+            }
+            outside += [f"{path.name}:{c.lineno}" for c in validate_calls(tree) if id(c) not in inside]
+        assert outside == []
 
     def test_specs_accept_lists(self):
         spec = SequenceSpec(order=5, summands=[[1, 4], [2, 3]], initials=[1] * 5)
@@ -436,6 +472,12 @@ class TestBufferRetention:
         buffer = SequenceBuffer(list(range(13)), start_index=7)
         with pytest.raises(IndexOutOfRangeError, match=rf"\[{n - depth}, {n}\].*\[7, 20\)"):
             buffer.window(n, depth)
+
+    def test_negative_depth_rejected(self):
+        # An empty tuple would break t[d] = a_{n-d}.
+        buffer = generate(somos5_spec(), 12)
+        with pytest.raises(ValueError, match="depth must be non-negative, got -1"):
+            buffer.window(5, -1)
 
     def test_below_a_negative_start(self):
         below = SequenceBuffer([1, 2, 3], start_index=-2).below(0)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import sys
@@ -31,6 +32,7 @@ from somos import (
 from somos.formats import emit_report_text, from_decimal, term_text, to_decimal
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "b006721.txt"
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 
 class TestParseBFile:
@@ -358,3 +360,20 @@ class TestReportText:
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
             emit_report_text(object())
+
+
+def test_certificates_and_bfile_match_the_reference_digests():
+    """What `certify --index N --format json` prints for each pinned N, and
+    what `generate --count 700 --format bfile` writes, byte for byte."""
+    reference = json.loads(REFERENCE.read_text(encoding="utf-8"))
+
+    def digest(text):
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    buffer = generate(somos5_spec(), 450)
+    expected = reference["certify_index_json"]
+    assert len(expected) == 50
+    for key, sha in expected.items():
+        n = int(key)
+        assert digest(emit_report_json(build_certificate(buffer.below(n), n)) + "\n") == sha, n
+    assert digest(emit_bfile(generate(somos5_spec(), 700))) == reference["bfile_700"]

@@ -107,6 +107,11 @@ class TestScanCoprimality:
         with pytest.raises(ValueError):
             scan_coprimality(somos5_spec(), 50, depth=0)
 
+    @pytest.mark.parametrize("depth", [0, -3])
+    def test_depth_below_one_is_refused_as_verify_refuses_it(self, depth):
+        with pytest.raises(ValueError, match=f"^depth must be at least 1, got {depth}$"):
+            scan_coprimality(somos5_spec(), 40, depth)
+
     def test_shared_factor_is_found(self):
         # start values with a common factor so the very first window trips
         spec = SequenceSpec(order=4, summands=((1, 3), (2, 2)), initials=(2, 2, 1, 1))
