@@ -7,11 +7,12 @@ limits of CPython 3.11's builtins:
   * divmod divides by schoolbook, in quadratic time.  _divmod is the
     builtin while the divisor or the quotient has at most _DIV_LIMIT
     bits, and Burnikel and Ziegler's recursive division past that.
-  * str() and int() refuse an integer past the interpreter's int<->str
-    digit limit (4,300 digits by default).  to_decimal and from_decimal
-    are the builtins up to that limit, and a divide-and-conquer
-    conversion, in leaves of _LEAF_DIGITS digits, past it.  decimal_repr,
-    a dataclass __repr__, prints field values through to_decimal.
+  * str() and int() take quadratic time, and refuse an integer past the
+    interpreter's int<->str digit limit (4,300 digits by default).
+    to_decimal and from_decimal are the builtins up to _DECIMAL_BITS
+    bits and within that limit, and a divide-and-conquer conversion, in
+    leaves of _LEAF_DIGITS digits, otherwise.  decimal_repr, a dataclass
+    __repr__, prints field values through to_decimal.
 
 Every result is exact at any size, and no function touches process-wide
 state.  This module imports nothing from the package.
@@ -36,6 +37,14 @@ _INT_FIELD = re.compile(r"[+-]?[0-9]+")
 # is below 640, the smallest nonzero int<->str digit limit the interpreter
 # accepts, so no str() or int() on a leaf can trip that limit.
 _LEAF_DIGITS = 600
+
+# Values past this many bits convert by divide and conquer whatever the
+# digit limit, so a lifted or raised limit never hands them to the
+# quadratic builtins.  It is just below the default limit of 4,300 digits
+# (14,284 bits), so at that limit almost every value keeps the path it
+# had; there, on CPython 3.11.7, divide and conquer already prints in 0.6
+# of str()'s time and parses in int()'s.
+_DECIMAL_BITS = 14_000
 
 
 def _divmod(a: int, b: int) -> tuple[int, int]:
@@ -123,15 +132,18 @@ def _div3n2n(
 def to_decimal(value: int) -> str:
     """Exact decimal string of an integer of any size.
 
-    str() handles what the interpreter's int-to-str digit limit allows;
-    past it, a divide-and-conquer conversion takes over.  Touches no
-    process-wide state, so it is safe to call from any thread.
+    str() handles a value of at most _DECIMAL_BITS bits that the
+    interpreter's int-to-str digit limit allows; any other goes to a
+    divide-and-conquer conversion.  Touches no process-wide state, so it
+    is safe to call from any thread.
     """
-    try:
-        return str(value)
-    except ValueError:  # past the digit limit
-        digits = _int_to_digits(abs(value))
-        return "-" + digits if value < 0 else digits
+    if value.bit_length() <= _DECIMAL_BITS:
+        try:
+            return str(value)
+        except ValueError:  # past a digit limit set below the default
+            pass
+    digits = _int_to_digits(abs(value))
+    return "-" + digits if value < 0 else digits
 
 
 def decimal_repr(self) -> str:
@@ -158,17 +170,23 @@ def from_decimal(text: str) -> int:
     """Parse a decimal literal of any length: optional sign, ASCII digits.
 
     Surrounding whitespace is ignored; anything else, underscores
-    included, raises ValueError.  Like to_decimal, it falls back to a
-    divide-and-conquer conversion past the digit limit and is thread-safe.
+    included, raises ValueError.  Like to_decimal, it leaves to int() a
+    literal whose value may have at most _DECIMAL_BITS bits and that the
+    digit limit allows, converts any other by divide and conquer, and is
+    thread-safe.
     """
     literal = text.strip()
     if not _INT_FIELD.fullmatch(literal):
         raise ValueError(f"invalid decimal literal: {text!r}")
-    try:
-        return int(literal)
-    except ValueError:  # past the digit limit
-        value = _digits_to_int(literal.lstrip("+-"))
-        return -value if literal[0] == "-" else value
+    digits = literal.lstrip("+-")
+    # d digits give a value below 10**d < 2**(3.322 * d).
+    if len(digits) * 33220 // 10000 <= _DECIMAL_BITS:
+        try:
+            return int(literal)
+        except ValueError:  # past a digit limit set below the default
+            pass
+    value = _digits_to_int(digits)
+    return -value if literal[0] == "-" else value
 
 
 def _int_to_digits(value: int) -> str:

@@ -5,10 +5,11 @@ A spec of order k defines the recurrence
     a_n * a_{n-k} = sum over summand pairs (i, j) of a_{n-i} * a_{n-j}
 
 with i + j = k, so every new term is the bilinear sum divided by a_{n-k}.
-All arithmetic is exact: integer mode performs checked integer division
-and surfaces any non-exact quotient as a first-class witness, rational
-mode continues with exact fractions (always in lowest terms, positive
-denominator).
+All arithmetic is exact: integer mode performs checked integer division,
+or for the all-ones Somos-4 and Somos-5 checks a division-free proposal
+by one product, and surfaces any non-exact quotient as a first-class
+witness; rational mode continues with exact fractions (always in lowest
+terms, positive denominator).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import (
     NonIntegralTermError,
     ZeroDenominatorError,
 )
+from .ladder import propose
 
 Term = Union[int, Fraction]
 
@@ -106,7 +108,10 @@ class SequenceBuffer:
     terms behind it, and every check reads the terms behind n that way.
     Only a buffer from generate(..., record=True) keeps an identity
     record: identity_holds[n] says whether the identity at n held when
-    next_term appended a_n, for the summands in recurrence.
+    next_term appended a_n, for the summands in recurrence.  Where the
+    step accepted a ladder proposal for a_n (all-ones Somos-4 and
+    Somos-5), that is the check that accepted it; elsewhere, a product
+    after the division.
     """
 
     def __init__(self, terms, start_index: int = 0):
@@ -208,9 +213,14 @@ def next_term(buffer: SequenceBuffer, spec: SequenceSpec, mode: str = INTEGER):
 
     Both modes share one integer step while a_{n-1} .. a_{n-k} are all
     integral (int, or Fraction with denominator 1): as_integer converts
-    the window, the numerator is the right side of _sides over it with 0
-    standing in for the unknown a_n, and one divmod of that integer
-    numerator decides exactness.  A rational window holding a
+    the window, and the numerator is the right side of _sides over it
+    with 0 standing in for the unknown a_n.  For the all-ones Somos-4 and
+    Somos-5, integer mode first asks ladder.propose for a_n from the
+    terms at half its index, and appends the proposal only when
+    proposal * a_{n-k} == numerator.  As a_{n-k} != 0 that quotient is
+    unique, so the step returns what division would, on any buffer.
+    Otherwise, in rational mode and for every other spec, one divmod of
+    the numerator decides exactness.  A rational window holding a
     non-integral fraction goes to _fractional_step, which keeps its
     unreduced pairs; in integer mode as_integer raises ValueError,
     naming the term.
@@ -220,10 +230,12 @@ def next_term(buffer: SequenceBuffer, spec: SequenceSpec, mode: str = INTEGER):
     the step records buffer.identity_holds[n] = (a_n * a_{n-k} ==
     numerator), where numerator is the bilinear sum it has just formed:
     the recurrence identity at n, exactly as _identity evaluates it on
-    this buffer.  The product is a fresh builtin multiplication of the
-    appended term, so the record does not trust _divmod: a wrong
-    quotient with a zero remainder records False at its index.
-    Fractional windows record nothing.
+    this buffer.  An accepted proposal has just passed that very
+    comparison, so it records True at no further cost.  After a divmod
+    the product is a fresh builtin multiplication of the appended term,
+    so the record does not trust _divmod: a wrong quotient with a zero
+    remainder records False at its index.  Fractional windows record
+    nothing.
     """
     if mode not in (INTEGER, RATIONAL):
         raise ValueError(f"unknown mode {mode!r}")
@@ -240,17 +252,20 @@ def next_term(buffer: SequenceBuffer, spec: SequenceSpec, mode: str = INTEGER):
         value = _fractional_step(window, spec.summands)
     else:
         numerator = _sides((0, *window), spec)[1]
-        quotient, remainder = _divmod(numerator, abs(denominator))
-        if not remainder:
-            value = quotient if denominator > 0 else -quotient
-        elif mode == RATIONAL:
-            value = Fraction(numerator, denominator)
-        else:
-            return NonIntegralEvent(n, numerator, denominator, remainder)
+        value = propose(buffer, spec, n) if mode == INTEGER else None
+        checked = value is not None and value * denominator == numerator
+        if not checked:
+            quotient, remainder = _divmod(numerator, abs(denominator))
+            if not remainder:
+                value = quotient if denominator > 0 else -quotient
+            elif mode == RATIONAL:
+                value = Fraction(numerator, denominator)
+            else:
+                return NonIntegralEvent(n, numerator, denominator, remainder)
         record = buffer.recorded(spec)
         if record is not None:
-            record[n] = value * denominator == numerator
-        if mode == RATIONAL and not remainder:
+            record[n] = checked or value * denominator == numerator
+        if mode == RATIONAL:
             value = Fraction(value)
     buffer.append(value)
     return value
@@ -300,9 +315,10 @@ def generate(
     non-exact division aborts the run by raising NonIntegralTermError,
     which carries the witness event and the partial buffer.  With
     record, the buffer keeps the identity record that next_term fills,
-    at one product per integral step; recurrence_holds reads it for
-    first_recurrence_violation, verify_recurrence_and_windows and
-    certify_range.
+    at one product per integral step that divides and none per accepted
+    ladder proposal (all-ones Somos-4 and Somos-5 in integer mode);
+    recurrence_holds reads it for first_recurrence_violation,
+    verify_recurrence_and_windows and certify_range.
     """
     buffer = new_state(spec).below(count)
     if record:

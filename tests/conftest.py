@@ -77,18 +77,29 @@ def two_stage_verify():
 
 @pytest.fixture
 def wrong_last_quotient(monkeypatch):
-    """Install a step divmod that is off by one, with a zero remainder, at
-    the last of steps calls; monkeypatch.undo() restores the real one."""
+    """At the steps-th integer step, withhold the ladder's proposal and
+    make that step's divmod off by one with a zero remainder, so the
+    wrong quotient reaches the buffer; monkeypatch.undo() restores both."""
 
     def install(steps):
-        calls = []
-        divmod_ = somos.engine._divmod
+        proposals, pending = [], []
+        propose, divmod_ = somos.engine.propose, somos.engine._divmod
+
+        def withheld(buffer, spec, n):
+            proposals.append(n)
+            if len(proposals) == steps:
+                pending.append(n)
+                return None
+            return propose(buffer, spec, n)
 
         def wrong(a, b):
-            calls.append(None)
             quotient, remainder = divmod_(a, b)
-            return (quotient + 1, 0) if len(calls) == steps else (quotient, remainder)
+            if pending:
+                pending.clear()
+                return quotient + 1, 0
+            return quotient, remainder
 
+        monkeypatch.setattr(somos.engine, "propose", withheld)
         monkeypatch.setattr(somos.engine, "_divmod", wrong)
 
     return install

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import somos.bigint
 import somos.engine
 from somos import (
     INTEGER,
@@ -292,6 +293,22 @@ class TestDivmod:
     def test_zero_divisor(self, a):
         with pytest.raises(ZeroDivisionError):
             _divmod(a, 0)
+
+    def test_dividing_every_somos5_step_writes_the_reference_bfile(self, monkeypatch):
+        # The ladder leaves Somos-5 steps no division; withholding its
+        # proposals sends all 695 steps, with divisors of up to 50,000
+        # bits, through Burnikel and Ziegler's recursion.
+        recursions = []
+        div_digits = somos.bigint._div_digits
+        monkeypatch.setattr(somos.engine, "propose", lambda buffer, spec, n: None)
+        monkeypatch.setattr(
+            somos.bigint, "_div_digits", lambda *args: recursions.append(None) or div_digits(*args)
+        )
+        buffer = generate(somos5_spec(), 700)
+        monkeypatch.undo()
+        assert recursions
+        reference = json.loads(REFERENCE.read_text(encoding="utf-8"))["bfile_700"]
+        assert hashlib.sha256(emit_bfile(buffer).encode("utf-8")).hexdigest() == reference
 
 
 class TestGenerate:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import somos.bigint
 from somos import (
     GapError,
     ParseError,
@@ -29,6 +30,7 @@ from somos import (
     somos_k_spec,
     verify_coprime_range,
 )
+from somos.bigint import _DECIMAL_BITS
 from somos.formats import emit_report_text, from_decimal, term_text, to_decimal
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "b006721.txt"
@@ -165,13 +167,14 @@ def digit_limit(limit):
         sys.set_int_max_str_digits(previous)
 
 
-# Values around the default 4,300-digit limit, where the conversions
-# switch, around 10,000 digits (33,000 bits), and the smallest edge cases.
+# Values around the 14,000-bit crossover and the default 4,300-digit
+# limit, where the conversions switch, around 10,000 digits (33,000
+# bits), and the smallest edge cases.
 EDGE_VALUES = [0, 1, -1] + [
     value
     for exponent in (4299, 4300, 4301, 9933, 9934, 9935)
     for value in (10**exponent, 10**exponent - 1, -(10**exponent))
-] + [2**32999 - 1, 2**32999, 2**33000, -(2**32999)]
+] + [2**14000 - 1, 2**14000, -(2**14000)] + [2**32999 - 1, 2**32999, 2**33000, -(2**32999)]
 
 
 def _random_integer(bits, seed, sign):
@@ -228,6 +231,24 @@ class TestDecimalHelpers:
             assert to_decimal(-value) == "-" + expected
             assert from_decimal(expected) == value
             assert from_decimal("-" + expected) == -value
+
+    def test_size_not_the_digit_limit_picks_the_path(self, monkeypatch):
+        # With the limit lifted, str() and int() would take any value in
+        # quadratic time; past _DECIMAL_BITS the conversion is divide and
+        # conquer all the same, and below it the builtins.
+        paths = []
+        for name in ("_int_to_digits", "_digits_to_int"):
+            convert = getattr(somos.bigint, name)
+            monkeypatch.setattr(
+                somos.bigint, name, lambda x, c=convert, n=name: paths.append(n) or c(x)
+            )
+        past = random.Random(14001).getrandbits(_DECIMAL_BITS + 1) | 1 << _DECIMAL_BITS
+        within = past >> 10
+        with digit_limit(0):
+            for value in (past, -past, within, -within):
+                expected = str(value)
+                assert to_decimal(value) == expected and from_decimal(expected) == value
+        assert paths == ["_int_to_digits", "_digits_to_int"] * 2
 
     def test_malformed_decimal_raises(self):
         with pytest.raises(ValueError):
