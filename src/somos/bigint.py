@@ -9,10 +9,11 @@ limits of CPython 3.11's builtins:
     bits, and Burnikel and Ziegler's recursive division past that.
   * str() and int() take quadratic time, and refuse an integer past the
     interpreter's int<->str digit limit (4,300 digits by default).
-    to_decimal and from_decimal are the builtins up to _DECIMAL_BITS
-    bits and within that limit, and a divide-and-conquer conversion, in
-    leaves of _LEAF_DIGITS digits, otherwise.  decimal_repr, a dataclass
-    __repr__, prints field values through to_decimal.
+    to_decimal and from_decimal are one divide-and-conquer conversion at
+    every size, whose str() and int() see only leaves of at most
+    _LEAF_DIGITS digits, so no digit limit the interpreter accepts is
+    ever reached.  decimal_repr, a dataclass __repr__, prints field
+    values through to_decimal.
 
 Every result is exact at any size, and no function touches process-wide
 state.  This module imports nothing from the package.
@@ -26,9 +27,11 @@ from functools import cache
 
 # Divisions with a divisor or quotient of at most this many bits are left
 # to the builtin divmod; it is also the leaf size of _divmod's recursion.
-# On CPython 3.11.7, Somos-5 steps over [5, 700) took least time from
-# 1,500 to 3,000 bits, and one recursion level beat the builtin from
-# about 2,500-bit quotients on.
+# Re-timed on CPython 3.11.7 over the divisions that remain: Somos-7
+# steps to n = 700, to_decimal's divisions by 5**d for 700 Somos-5 terms,
+# and the certificate residues at n in [400, 450) and [950, 1000).  On
+# each, this limit came within about 10% of the best from 1,000 to 4,000
+# bits, and no other limit was best on all of them.
 _DIV_LIMIT = 2000
 
 _INT_FIELD = re.compile(r"[+-]?[0-9]+")
@@ -37,14 +40,6 @@ _INT_FIELD = re.compile(r"[+-]?[0-9]+")
 # is below 640, the smallest nonzero int<->str digit limit the interpreter
 # accepts, so no str() or int() on a leaf can trip that limit.
 _LEAF_DIGITS = 600
-
-# Values past this many bits convert by divide and conquer whatever the
-# digit limit, so a lifted or raised limit never hands them to the
-# quadratic builtins.  It is just below the default limit of 4,300 digits
-# (14,284 bits), so at that limit almost every value keeps the path it
-# had; there, on CPython 3.11.7, divide and conquer already prints in 0.6
-# of str()'s time and parses in int()'s.
-_DECIMAL_BITS = 14_000
 
 
 def _divmod(a: int, b: int) -> tuple[int, int]:
@@ -130,19 +125,29 @@ def _div3n2n(
 
 
 def to_decimal(value: int) -> str:
-    """Exact decimal string of an integer of any size.
+    """Exact decimal string of an integer of any size, by divide and conquer.
 
-    str() handles a value of at most _DECIMAL_BITS bits that the
-    interpreter's int-to-str digit limit allows; any other goes to a
-    divide-and-conquer conversion.  Touches no process-wide state, so it
-    is safe to call from any thread.
+    |value| = hi * 10**d + lo, where d is half the width in digits.  Since
+    10**d = 5**d * 2**d, hi and lo come from one _divmod of |value| >> d
+    by 5**d, with the powers of five cached for the call.  Leaves of at
+    most _LEAF_DIGITS digits go through str() and are padded to their
+    width with zfill; a value that fits in one leaf is str() itself.
+    Touches no process-wide state, so it is safe to call from any thread.
     """
-    if value.bit_length() <= _DECIMAL_BITS:
-        try:
-            return str(value)
-        except ValueError:  # past a digit limit set below the default
-            pass
-    digits = _int_to_digits(abs(value))
+    # 30103/100000 > log10(2), so |value| < 2**bits <= 10**width.
+    width = value.bit_length() * 30103 // 100000 + 1
+    if width <= _LEAF_DIGITS:
+        return str(value)
+    power_of_five = cache(lambda d: 5**d)
+
+    def convert(n, w):  # n < 10**w; exactly w digits
+        if w <= _LEAF_DIGITS:
+            return str(n).zfill(w)
+        d = w >> 1
+        hi, rest = _divmod(n >> d, power_of_five(d))
+        return convert(hi, w - d) + convert(rest << d | n & ((1 << d) - 1), d)
+
+    digits = convert(abs(value), width).lstrip("0")
     return "-" + digits if value < 0 else digits
 
 
@@ -158,7 +163,7 @@ def decimal_repr(self) -> str:
 
 
 def _repr_text(value) -> str:
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return to_decimal(value)
     if isinstance(value, tuple):
         items = [_repr_text(item) for item in value]
@@ -170,57 +175,20 @@ def from_decimal(text: str) -> int:
     """Parse a decimal literal of any length: optional sign, ASCII digits.
 
     Surrounding whitespace is ignored; anything else, underscores
-    included, raises ValueError.  Like to_decimal, it leaves to int() a
-    literal whose value may have at most _DECIMAL_BITS bits and that the
-    digit limit allows, converts any other by divide and conquer, and is
-    thread-safe.
+    included, raises ValueError.  After CPython 3.12's Lib/_pylong.py:
+    value = hi * 10**d + lo, where d is the length of the low half and
+    hi * 10**d is formed as (hi * 5**d) << d, with the powers of five
+    cached for the call.  Leaves of at most _LEAF_DIGITS digits go
+    through int(); a literal that fits in one leaf is int() itself.
+    Like to_decimal, it is thread-safe.
     """
     literal = text.strip()
     if not _INT_FIELD.fullmatch(literal):
         raise ValueError(f"invalid decimal literal: {text!r}")
     digits = literal.lstrip("+-")
-    # d digits give a value below 10**d < 2**(3.322 * d).
-    if len(digits) * 33220 // 10000 <= _DECIMAL_BITS:
-        try:
-            return int(literal)
-        except ValueError:  # past a digit limit set below the default
-            pass
-    value = _digits_to_int(digits)
-    return -value if literal[0] == "-" else value
-
-
-def _int_to_digits(value: int) -> str:
-    """Decimal digits of an integer value >= 0, by divide and conquer.
-
-    value = hi * 10**d + lo, where d is half the width in digits.  Since
-    10**d = 5**d * 2**d, hi and lo come from one _divmod of value >> d
-    by 5**d, with the powers of five cached for the call.  Leaves of at
-    most _LEAF_DIGITS digits go through str() and are padded to their
-    width with zfill.
-    """
-    power_of_five = cache(lambda w: 5**w)
-
-    def convert(n, w):  # n < 10**w; exactly w digits
-        if w <= _LEAF_DIGITS:
-            return str(n).zfill(w)
-        d = w >> 1
-        hi, rest = _divmod(n >> d, power_of_five(d))
-        return convert(hi, w - d) + convert(rest << d | n & ((1 << d) - 1), d)
-
-    # 30103/100000 > log10(2), so value < 2**bits <= 10**width.
-    width = value.bit_length() * 30103 // 100000 + 1
-    return convert(value, width).lstrip("0")
-
-
-def _digits_to_int(digits: str) -> int:
-    """Integer value of a string of ASCII digits, by divide and conquer.
-
-    After CPython 3.12's Lib/_pylong.py: value = hi * 10**d + lo, where d
-    is the length of the low half and hi * 10**d is formed as
-    (hi * 5**d) << d, with the powers of five cached for the call.
-    Leaves of at most _LEAF_DIGITS go through int().
-    """
-    power_of_five = cache(lambda w: 5**w)
+    if len(digits) <= _LEAF_DIGITS:
+        return int(literal)
+    power_of_five = cache(lambda d: 5**d)
 
     def convert(a, b):
         if b - a <= _LEAF_DIGITS:
@@ -228,7 +196,8 @@ def _digits_to_int(digits: str) -> int:
         mid = (a + b + 1) >> 1
         return convert(mid, b) + ((convert(a, mid) * power_of_five(b - mid)) << (b - mid))
 
-    return convert(0, len(digits))
+    value = convert(0, len(digits))
+    return -value if literal[0] == "-" else value
 
 
 def term_text(value) -> str:

@@ -5,11 +5,11 @@ A spec of order k defines the recurrence
     a_n * a_{n-k} = sum over summand pairs (i, j) of a_{n-i} * a_{n-j}
 
 with i + j = k, so every new term is the bilinear sum divided by a_{n-k}.
-All arithmetic is exact: integer mode performs checked integer division,
-or for the all-ones Somos-4 and Somos-5 checks a division-free proposal
-by one product, and surfaces any non-exact quotient as a first-class
-witness; rational mode continues with exact fractions (always in lowest
-terms, positive denominator).
+All arithmetic is exact.  A step from an integral window performs checked
+integer division, or for the all-ones Somos-4 and Somos-5 checks a
+division-free proposal by one product.  Integer mode surfaces any
+non-exact quotient as a first-class witness; rational mode continues
+with exact fractions (always in lowest terms, positive denominator).
 """
 
 from __future__ import annotations
@@ -215,12 +215,12 @@ def next_term(buffer: SequenceBuffer, spec: SequenceSpec, mode: str = INTEGER):
     integral (int, or Fraction with denominator 1): as_integer converts
     the window, and the numerator is the right side of _sides over it
     with 0 standing in for the unknown a_n.  For the all-ones Somos-4 and
-    Somos-5, integer mode first asks ladder.propose for a_n from the
-    terms at half its index, and appends the proposal only when
+    Somos-5, the step first asks ladder.propose for a_n from the terms
+    at half its index, and appends the proposal only when
     proposal * a_{n-k} == numerator.  As a_{n-k} != 0 that quotient is
     unique, so the step returns what division would, on any buffer.
-    Otherwise, in rational mode and for every other spec, one divmod of
-    the numerator decides exactness.  A rational window holding a
+    Otherwise, for every other spec and where no proposal passes, one
+    divmod of the numerator decides exactness.  A rational window holding a
     non-integral fraction goes to _fractional_step, which keeps its
     unreduced pairs; in integer mode as_integer raises ValueError,
     naming the term.
@@ -252,7 +252,7 @@ def next_term(buffer: SequenceBuffer, spec: SequenceSpec, mode: str = INTEGER):
         value = _fractional_step(window, spec.summands)
     else:
         numerator = _sides((0, *window), spec)[1]
-        value = propose(buffer, spec, n) if mode == INTEGER else None
+        value = propose(buffer, spec, n)
         checked = value is not None and value * denominator == numerator
         if not checked:
             quotient, remainder = _divmod(numerator, abs(denominator))
@@ -316,7 +316,7 @@ def generate(
     which carries the witness event and the partial buffer.  With
     record, the buffer keeps the identity record that next_term fills,
     at one product per integral step that divides and none per accepted
-    ladder proposal (all-ones Somos-4 and Somos-5 in integer mode);
+    ladder proposal (all-ones Somos-4 and Somos-5);
     recurrence_holds reads it for first_recurrence_violation,
     verify_recurrence_and_windows and certify_range.
     """

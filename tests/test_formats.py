@@ -30,7 +30,7 @@ from somos import (
     somos_k_spec,
     verify_coprime_range,
 )
-from somos.bigint import _DECIMAL_BITS
+from somos.bigint import _LEAF_DIGITS
 from somos.formats import emit_report_text, from_decimal, term_text, to_decimal
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "b006721.txt"
@@ -167,14 +167,16 @@ def digit_limit(limit):
         sys.set_int_max_str_digits(previous)
 
 
-# Values around the 14,000-bit crossover and the default 4,300-digit
-# limit, where the conversions switch, around 10,000 digits (33,000
+# Values at the leaf seams of the conversions (600 and 1,200 digits),
+# around the default 4,300-digit limit, around 10,000 digits (33,000
 # bits), and the smallest edge cases.
 EDGE_VALUES = [0, 1, -1] + [
     value
     for exponent in (4299, 4300, 4301, 9933, 9934, 9935)
     for value in (10**exponent, 10**exponent - 1, -(10**exponent))
-] + [2**14000 - 1, 2**14000, -(2**14000)] + [2**32999 - 1, 2**32999, 2**33000, -(2**32999)]
+] + [10**599, -(10**599), 10**600 - 1, 10**600, 10**1200, 10**1200 + 1] + [
+    2**32999 - 1, 2**32999, 2**33000, -(2**32999)
+]
 
 
 def _random_integer(bits, seed, sign):
@@ -232,23 +234,34 @@ class TestDecimalHelpers:
             assert from_decimal(expected) == value
             assert from_decimal("-" + expected) == -value
 
-    def test_size_not_the_digit_limit_picks_the_path(self, monkeypatch):
+    def test_builtins_see_only_leaves(self, monkeypatch):
         # With the limit lifted, str() and int() would take any value in
-        # quadratic time; past _DECIMAL_BITS the conversion is divide and
-        # conquer all the same, and below it the builtins.
-        paths = []
-        for name in ("_int_to_digits", "_digits_to_int"):
-            convert = getattr(somos.bigint, name)
-            monkeypatch.setattr(
-                somos.bigint, name, lambda x, c=convert, n=name: paths.append(n) or c(x)
-            )
-        past = random.Random(14001).getrandbits(_DECIMAL_BITS + 1) | 1 << _DECIMAL_BITS
-        within = past >> 10
+        # quadratic time; the conversions hand them leaves of at most
+        # _LEAF_DIGITS digits at every size all the same.
+        rng = random.Random(300_000)
+        values = [10**599, 10**600 - 1, 10**600, 10**1200, 10**1200 + 1] + [
+            rng.getrandbits(bits) | 1 << (bits - 1)
+            for bits in (1_990, 1_994, 3_987, 14_000, 33_000, 100_000, 300_000)
+        ]
         with digit_limit(0):
-            for value in (past, -past, within, -within):
-                expected = str(value)
-                assert to_decimal(value) == expected and from_decimal(expected) == value
-        assert paths == ["_int_to_digits", "_digits_to_int"] * 2
+            expected = {value: str(value) for value in values}
+            leaves = []
+
+            def str_leaf(value):
+                text = str(value)
+                leaves.append(text)
+                return text
+
+            def int_leaf(text):
+                leaves.append(text)
+                return int(text)
+
+            monkeypatch.setattr(somos.bigint, "str", str_leaf, raising=False)
+            monkeypatch.setattr(somos.bigint, "int", int_leaf, raising=False)
+            for value, text in expected.items():
+                assert to_decimal(value) == text and from_decimal(text) == value
+                assert to_decimal(-value) == "-" + text and from_decimal("-" + text) == -value
+        assert leaves and max(len(leaf.lstrip("+-")) for leaf in leaves) <= _LEAF_DIGITS
 
     def test_malformed_decimal_raises(self):
         with pytest.raises(ValueError):
@@ -262,6 +275,16 @@ class TestDecimalHelpers:
         # within the digit limit; every length follows the b-file syntax.
         with pytest.raises(ValueError):
             from_decimal(text)
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("0", 0), ("+0", 0), ("-0", 0), ("0" * 5000, 0), ("0" * 4999 + "7", 7)],
+        ids=["0", "+0", "-0", "5000-zeros", "4999-zeros-then-7"],
+    )
+    def test_zero_literals_under_any_digit_limit(self, text, value):
+        for limit in (0, 640, 4300):
+            with digit_limit(limit):
+                assert from_decimal(text) == value
 
     def test_sign_and_surrounding_whitespace(self):
         assert from_decimal(" +42\n") == 42

@@ -98,6 +98,15 @@ def test_the_ladder_leaves_only_the_first_steps_to_division(monkeypatch, k, coun
     assert all(buffer.identity_holds.values()) and len(buffer.identity_holds) == count - k
 
 
+def test_rational_mode_takes_the_checked_proposal(monkeypatch):
+    oracle = fraction_terms(5, SOMOS_SUMMANDS[5], 700)
+    divisions = _count_divisions(monkeypatch)
+    buffer = generate(somos5_spec(), 700, mode=RATIONAL)
+    assert buffer.values() == oracle
+    assert all(type(value) is Fraction for value in buffer.values()[5:])
+    assert len(divisions) == 3
+
+
 @pytest.mark.parametrize("k", [4, 5])
 def test_a_rejected_proposal_falls_through_to_division(monkeypatch, k):
     spec, count = somos_k_spec(k), 300
