@@ -7,7 +7,8 @@ A spec of order k defines the recurrence
 with i + j = k, so every new term is the bilinear sum divided by a_{n-k}.
 All arithmetic is exact.  A step from an integral window performs checked
 integer division, or for the all-ones Somos-4 and Somos-5 checks a
-division-free proposal by one product.  Integer mode surfaces any
+division-free proposal by one product; on generate's own unrecorded
+buffer it takes the proposal unchecked.  Integer mode surfaces any
 non-exact quotient as a first-class witness; rational mode continues
 with exact fractions (always in lowest terms, positive denominator).
 """
@@ -112,6 +113,11 @@ class SequenceBuffer:
     step accepted a ladder proposal for a_n (all-ones Somos-4 and
     Somos-5), that is the check that accepted it; elsewhere, a product
     after the division.
+
+    source is the spec whose generate built the buffer, else None.  Only
+    generate sets it; append, the public way to add a term, clears it,
+    and below() gives a buffer without it.  So source == spec means that
+    every term was appended by next_term for spec from spec's initials.
     """
 
     def __init__(self, terms, start_index: int = 0):
@@ -119,6 +125,7 @@ class SequenceBuffer:
         self._start = int(start_index)
         self.identity_holds: dict[int, bool] | None = None
         self.recurrence: tuple[tuple[int, int], ...] | None = None
+        self.source: SequenceSpec | None = None
 
     @property
     def start_index(self) -> int:
@@ -155,6 +162,8 @@ class SequenceBuffer:
         return tuple(reversed(self._terms[lo : n - self._start + 1]))
 
     def append(self, value: Term) -> None:
+        """Add value as the next term; the buffer is then no longer generate's own."""
+        self.source = None
         self._terms.append(value)
 
     def items(self) -> Iterator[tuple[int, Term]]:
@@ -213,13 +222,17 @@ def next_term(buffer: SequenceBuffer, spec: SequenceSpec, mode: str = INTEGER):
 
     Both modes share one integer step while a_{n-1} .. a_{n-k} are all
     integral (int, or Fraction with denominator 1): as_integer converts
-    the window, and the numerator is the right side of _sides over it
-    with 0 standing in for the unknown a_n.  For the all-ones Somos-4 and
-    Somos-5, the step first asks ladder.propose for a_n from the terms
-    at half its index, and appends the proposal only when
-    proposal * a_{n-k} == numerator.  As a_{n-k} != 0 that quotient is
-    unique, so the step returns what division would, on any buffer.
-    Otherwise, for every other spec and where no proposal passes, one
+    the window.  For the all-ones Somos-4 and Somos-5, the step first
+    asks ladder.propose for a_n from the terms at half its index.  On
+    generate's own buffer for spec (buffer.source == spec) that keeps no
+    identity record, the proposal is appended as it is: every term there
+    is the sequence's own, so the ladder's identity makes the proposal
+    a_n, and the bilinear sum is never formed.  On every other buffer the
+    numerator is the right side of _sides over the window with 0
+    standing in for the unknown a_n, and the proposal is appended only
+    when proposal * a_{n-k} == numerator.  As a_{n-k} != 0 that quotient
+    is unique, so there the step returns what division would.  For
+    every other spec and where no proposal passes, one
     divmod of the numerator decides exactness.  A rational window holding a
     non-integral fraction goes to _fractional_step, which keeps its
     unreduced pairs; in integer mode as_integer raises ValueError,
@@ -251,23 +264,24 @@ def next_term(buffer: SequenceBuffer, spec: SequenceSpec, mode: str = INTEGER):
     if fractional:
         value = _fractional_step(window, spec.summands)
     else:
-        numerator = _sides((0, *window), spec)[1]
         value = propose(buffer, spec, n)
-        checked = value is not None and value * denominator == numerator
-        if not checked:
-            quotient, remainder = _divmod(numerator, abs(denominator))
-            if not remainder:
-                value = quotient if denominator > 0 else -quotient
-            elif mode == RATIONAL:
-                value = Fraction(numerator, denominator)
-            else:
-                return NonIntegralEvent(n, numerator, denominator, remainder)
         record = buffer.recorded(spec)
-        if record is not None:
-            record[n] = checked or value * denominator == numerator
+        if value is None or buffer.source != spec or record is not None:
+            numerator = _sides((0, *window), spec)[1]
+            checked = value is not None and value * denominator == numerator
+            if not checked:
+                quotient, remainder = _divmod(numerator, abs(denominator))
+                if not remainder:
+                    value = quotient if denominator > 0 else -quotient
+                elif mode == RATIONAL:
+                    value = Fraction(numerator, denominator)
+                else:
+                    return NonIntegralEvent(n, numerator, denominator, remainder)
+            if record is not None:
+                record[n] = checked or value * denominator == numerator
         if mode == RATIONAL:
             value = Fraction(value)
-    buffer.append(value)
+    buffer._terms.append(value)
     return value
 
 
@@ -318,9 +332,13 @@ def generate(
     at one product per integral step that divides and none per accepted
     ladder proposal (all-ones Somos-4 and Somos-5);
     recurrence_holds reads it for first_recurrence_violation,
-    verify_recurrence_and_windows and certify_range.
+    verify_recurrence_and_windows and certify_range.  The buffer's
+    source is spec, so without a record next_term takes each ladder
+    proposal unchecked; with one, it checks each by the product it
+    records.
     """
     buffer = new_state(spec).below(count)
+    buffer.source = spec
     if record:
         buffer.identity_holds, buffer.recurrence = {}, spec.summands
     while buffer.next_index < count:

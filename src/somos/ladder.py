@@ -13,9 +13,13 @@ index, with no division:
     b_{2m}   = W_m^2     b_{m+1} b_{m-1} - W_{m+1} W_{m-1} b_m^2
     b_{2m-1} = W_{m-1}^2 b_{m+1} b_{m-1} - W_m W_{m-2}     b_m^2
 
-A proposal is only a candidate: the engine step appends it only when it
-passes the recurrence identity exactly, and divides otherwise.  This
-module imports nothing from the package but its errors.
+Both lines are identities of the sequence, so from its own terms a
+proposal is a_n.  The engine step takes it unchecked only on a buffer
+that generate built for the spec and that keeps no identity record,
+where every term is the sequence's own.  On any other buffer a proposal
+is only a candidate: the step appends it only when it passes the
+recurrence identity exactly, and divides otherwise.  This module imports
+nothing from the package but its errors.
 """
 
 from __future__ import annotations
@@ -55,7 +59,16 @@ def propose(buffer, spec, n: int) -> int | None:
         return None
     up, mid, down = (v.numerator for v in terms)
     h = m if j % 2 == 0 else m - 1  # b_j = b_{m+h} with b_{m-h} = b_0 or b_1 = 1
-    return _w(seed, h) ** 2 * (up * down) - _w(seed, h + 1) * _w(seed, h - 1) * mid**2
+    square, cross = _coefficients(seed, h)
+    return square * (up * down) - cross * mid**2
+
+
+@cache
+def _coefficients(seed: tuple[int, ...], h: int) -> tuple[int, int]:
+    """(W_h^2, W_{h+1} W_{h-1}): the two coefficients of the rule for
+    b_{m+h}, shared by the steps of both parities and both stream indices
+    with this h."""
+    return _w(seed, h) ** 2, _w(seed, h + 1) * _w(seed, h - 1)
 
 
 @cache

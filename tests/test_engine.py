@@ -289,7 +289,13 @@ class TestDivmod:
         for x, y in ((a, b), (-a, b), (a, -b), (-a, -b), (a - 1, b), (a + b, b)):
             assert _divmod(x, y) == divmod(x, y)
 
-    @pytest.mark.parametrize("a", [0, 1, -5, 1 << 10_000, -(1 << 10_000)])
+    # Explicit ids: pytest would name a case by str(a), which raises past
+    # the interpreter's int<->str digit limit, so the big ones go by bit length.
+    @pytest.mark.parametrize(
+        "a",
+        [0, 1, -5, 1 << 10_000, -(1 << 10_000)],
+        ids=["0", "1", "-5", "10001-bits", "-10001-bits"],
+    )
     def test_zero_divisor(self, a):
         with pytest.raises(ZeroDivisionError):
             _divmod(a, 0)

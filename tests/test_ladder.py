@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
 import somos.engine
 from somos import (
+    INTEGER,
     RATIONAL,
+    NonIntegralEvent,
     SequenceBuffer,
     SequenceSpec,
     generate,
@@ -22,9 +25,16 @@ from helpers import SOMOS_SUMMANDS, fraction_terms
 STRIDE = {4: 1, 5: 2}
 
 
+@cache
+def _oracle(k, count):
+    """The first count all-ones Somos-k terms by the Fraction recursion,
+    computed once per module (Somos-5 to 1000 takes seconds)."""
+    return fraction_terms(k, SOMOS_SUMMANDS[k], count)
+
+
 @pytest.mark.parametrize("k, count", [(5, 1000), (4, 600)])
 def test_every_proposal_is_the_fraction_recursion(k, count):
-    oracle = fraction_terms(k, SOMOS_SUMMANDS[k], count)
+    oracle = _oracle(k, count)
     assert all(v.denominator == 1 for v in oracle)
     buffer = SequenceBuffer([v.numerator for v in oracle])
     spec = somos_k_spec(k)
@@ -99,7 +109,7 @@ def test_the_ladder_leaves_only_the_first_steps_to_division(monkeypatch, k, coun
 
 
 def test_rational_mode_takes_the_checked_proposal(monkeypatch):
-    oracle = fraction_terms(5, SOMOS_SUMMANDS[5], 700)
+    oracle = _oracle(5, 1000)[:700]
     divisions = _count_divisions(monkeypatch)
     buffer = generate(somos5_spec(), 700, mode=RATIONAL)
     assert buffer.values() == oracle
@@ -132,3 +142,52 @@ def test_a_rejected_proposal_falls_through_to_division(monkeypatch, k):
     assert set(buffer.identity_holds.values()) == {True}
     assert rejected == [n for n in range(k, count) if n // STRIDE[k] >= 4]
     assert divided == proposals == list(range(k, count))
+
+
+@pytest.mark.parametrize("mode", [INTEGER, RATIONAL])
+@pytest.mark.parametrize("k, count", [(5, 1000), (4, 600)])
+def test_generated_terms_are_the_fraction_recursion(k, count, mode):
+    buffer = generate(somos_k_spec(k), count, mode=mode)
+    assert buffer.values() == _oracle(k, count)
+
+
+@pytest.mark.parametrize(
+    "k, windows",
+    [(5, [(0, 1, 1, 1, 1, 1), (0, 2, 1, 1, 1, 1), (0, 3, 2, 1, 1, 1)]), (4, [])],
+    ids=["somos-5", "somos-4"],
+)
+def test_generate_forms_the_bilinear_sum_only_without_a_proposal(monkeypatch, k, windows):
+    # On generate's own unrecorded buffer a proposal is the term, so the
+    # bilinear sum is formed only at Somos-5's n = 5, 6, 7, whose stream
+    # index is below 4; each window is (0, a_{n-1}, ..., a_{n-5}).
+    formed = []
+    sides = somos.engine._sides
+    monkeypatch.setattr(
+        somos.engine, "_sides", lambda t, *args: formed.append(tuple(t)) or sides(t, *args)
+    )
+    buffer = generate(somos_k_spec(k), 300)
+    assert formed == windows
+    assert buffer.values() == _oracle(k, 600)[:300]
+
+
+def test_a_term_appended_by_hand_ends_the_trust():
+    spec, count = somos5_spec(), 300
+    buffer = generate(spec, count)
+    assert buffer.source == spec
+    nudged = generate(spec, count + 1).term(count) + 1
+    by_hand = SequenceBuffer(buffer.values() + [nudged])
+    buffer.append(nudged)
+    assert buffer.source is None
+    event = next_term(buffer, spec)
+    assert isinstance(event, NonIntegralEvent)
+    assert event == next_term(by_hand, spec)
+    assert buffer.next_index == by_hand.next_index == count + 1
+
+
+def test_a_bounded_generated_buffer_is_not_generates_own():
+    spec = somos5_spec()
+    buffer = generate(spec, 60)
+    assert buffer.below(None) is buffer and buffer.source == spec
+    bounded = buffer.below(50)
+    assert bounded.source is None
+    assert next_term(bounded, spec) == buffer.term(50)
