@@ -14,9 +14,7 @@ Shift s at n is the recurrence at n - s, so along a range each identity
 belongs to five consecutive certificates.  check_index_shifts is the one
 shift reader: every certificate gets its shifts and its window from it.
 It reads each shift through holds(j), whether the recurrence at j holds
-over the buffer: engine.recurrence_holds, which reads the record
-generate(..., record=True) keeps on the buffer, else evaluates
-engine._identity.
+over the buffer: engine._identity, which evaluates it exactly.
 certify_range hands every certificate one reader, cached for the range;
 a certificate built alone reads through the uncached one.  The
 recurrence at n also settles the residue: where a_n is an integral term
@@ -25,9 +23,8 @@ exactly and the residue is 0.  Only where it fails, or a_n is absent
 (certify --index N holds a_0 .. a_{N-1}) or fractional, is the
 numerator divided.  A certificate reads n - 5 .. n in that order, so a
 range evaluates each identity at most once, in walk order, and none past
-its first failure; a recorded range evaluates none.  A certificate keeps
-facts: each shift's lhs and rhs are evaluated from the window, by
-engine._sides, when first read.
+its first failure.  A certificate keeps facts: each shift's lhs and rhs
+are evaluated from the window, by engine._sides, when first read.
 
 Along a range the precondition follows from those same identities, by
 the coprimality rule of coprime.derived_offsets, whose docstring proves
@@ -74,7 +71,7 @@ from math import gcd
 from .bigint import _divmod, decimal_repr, to_decimal
 from .coprime import VerificationReport, first_failure
 from .coprime import coprimality_rule, derived_offsets
-from .engine import SequenceBuffer, _sides, as_integer, recurrence_holds, somos5_spec
+from .engine import SequenceBuffer, _identity, _sides, as_integer, somos5_spec
 from .engine import window_start
 from .errors import IndexOutOfRangeError, ZeroDenominatorError
 
@@ -173,11 +170,11 @@ def check_index_shifts(
 
     Shift s is the fact holds(n - s), read in that order; every shift
     keeps the one window t[d] = a_{n-d}, d = 1..10.  holds defaults to
-    the uncached engine.recurrence_holds over this buffer.
+    the uncached engine._identity over this buffer.
     """
     t = _window(buffer, n)
     if holds is None:
-        holds = partial(recurrence_holds, buffer, _SOMOS5)
+        holds = partial(_identity, buffer, _SOMOS5)
     return tuple(IndexShiftIdentity(shift=s, holds=holds(n - s), window=t) for s in range(5, 0, -1))
 
 
@@ -196,7 +193,7 @@ def build_certificate(
     5 .. 1; it is then read at n where a_n is an integral term of the
     buffer: if that identity holds, the residue is 0.  certify_range
     passes one reader cached for its range; without it,
-    engine.recurrence_holds is read directly.
+    engine._identity is evaluated directly.
 
     known(j, d), when given, confirms gcd(a_j, a_{j-d}) = 1 for the
     facts coprime.derived_offsets asks about at n - 5; certify_range's
@@ -204,7 +201,7 @@ def build_certificate(
     precondition gcd is computed.
     """
     if holds is None:
-        holds = partial(recurrence_holds, buffer, _SOMOS5)
+        holds = partial(_identity, buffer, _SOMOS5)
     shifts = check_index_shifts(buffer, n, holds)
     t = shifts[0].window
     m = t[5]
@@ -292,7 +289,7 @@ def certify_range(
         start = window_start(buffer.start_index, CERTIFICATE_START)
     if stop is None:
         stop = buffer.next_index
-    holds = cache(partial(recurrence_holds, buffer, _SOMOS5))
+    holds = cache(partial(_identity, buffer, _SOMOS5))
 
     @cache
     def seeded():

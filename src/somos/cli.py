@@ -145,7 +145,7 @@ def cmd_verify(args):
         buffer = parsed.below(args.count)
         first = parsed.start_index  # the buffer starts at count when the file starts past it
     else:
-        buffer = generate(spec, args.count, INTEGER, record=True)
+        buffer = generate(spec, args.count, INTEGER)
         first = buffer.start_index
 
     report = verify_recurrence_and_windows(buffer, spec, args.depth)
@@ -164,7 +164,7 @@ def cmd_certify(args):
         certificate = build_certificate(buffer, args.index)
         return certificate, certificate.valid
 
-    report = certify_range(generate(spec, args.count, INTEGER, record=True))
+    report = certify_range(generate(spec, args.count, INTEGER))
     if report.checked == 0 and args.format == "text":
         print(f"note: range below certificate start (n = {CERTIFICATE_START}); zero certificates")
     return report, report.passed

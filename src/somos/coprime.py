@@ -248,12 +248,10 @@ def verify_recurrence_and_windows(
     First first_recurrence_violation checks the identity a_n a_{n-k} =
     sum of a_{n-i} a_{n-j} once, exactly, at every n in
     [window_start(start_index, k), next_index), on integral and rational
-    terms alike.  On a buffer from generate(..., record=True), it reads
-    the facts next_term recorded on the buffer as it stepped (one fresh
-    product of each appended term with its divisor, against the sum it
-    divided) instead of evaluating them again; a buffer without a
-    record, as from a b-file, is evaluated at every index.  A violation
-    is reported as a "recurrence-identity" failure, and no window runs.
+    terms alike.  It trusts no step: generate's ladder terms, taken
+    unchecked, and the terms of a b-file are evaluated alike.  A
+    violation is reported as a "recurrence-identity" failure, and no
+    window runs.
     Otherwise the windows run over the range verify_coprime_range covers
     by default, deriving some offsets by the rule of derived_offsets
     instead of computing their gcds, and the result is exactly that of

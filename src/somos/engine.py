@@ -7,10 +7,11 @@ A spec of order k defines the recurrence
 with i + j = k, so every new term is the bilinear sum divided by a_{n-k}.
 All arithmetic is exact.  A step from an integral window performs checked
 integer division, or for the all-ones Somos-4 and Somos-5 checks a
-division-free proposal by one product; on generate's own unrecorded
-buffer it takes the proposal unchecked.  Integer mode surfaces any
-non-exact quotient as a first-class witness; rational mode continues
-with exact fractions (always in lowest terms, positive denominator).
+division-free proposal by one product; on generate's own buffer it
+takes the proposal unchecked, and first_recurrence_violation is the
+exact check of those terms.  Integer mode surfaces any non-exact
+quotient as a first-class witness; rational mode continues with exact
+fractions (always in lowest terms, positive denominator).
 """
 
 from __future__ import annotations
@@ -107,12 +108,6 @@ class SequenceBuffer:
     terms[m] is the sequence value at absolute index start_index + m.
     term(n) reads one value; window(n, depth) reads a_n and the depth
     terms behind it, and every check reads the terms behind n that way.
-    Only a buffer from generate(..., record=True) keeps an identity
-    record: identity_holds[n] says whether the identity at n held when
-    next_term appended a_n, for the summands in recurrence.  Where the
-    step accepted a ladder proposal for a_n (all-ones Somos-4 and
-    Somos-5), that is the check that accepted it; elsewhere, a product
-    after the division.
 
     source is the spec whose generate built the buffer, else None.  Only
     generate sets it; append, the public way to add a term, clears it,
@@ -123,8 +118,6 @@ class SequenceBuffer:
     def __init__(self, terms, start_index: int = 0):
         self._terms = list(terms)
         self._start = int(start_index)
-        self.identity_holds: dict[int, bool] | None = None
-        self.recurrence: tuple[tuple[int, int], ...] | None = None
         self.source: SequenceSpec | None = None
 
     @property
@@ -173,16 +166,12 @@ class SequenceBuffer:
     def values(self) -> list[Term]:
         return list(self._terms)
 
-    def recorded(self, spec: SequenceSpec) -> dict[int, bool] | None:
-        """The identity record when it was kept for spec's recurrence, else None."""
-        return self.identity_holds if self.recurrence == spec.summands else None
-
     def below(self, count: int | None) -> SequenceBuffer:
         """The terms at indices n < count, starting at min(start_index, count).
 
         A buffer that starts past count gives an empty buffer at count;
         count None bounds nothing and returns this buffer, and a negative
-        count raises ValueError.  A bounded buffer carries no record.
+        count raises ValueError.
         """
         if count is None:
             return self
@@ -224,31 +213,18 @@ def next_term(buffer: SequenceBuffer, spec: SequenceSpec, mode: str = INTEGER):
     integral (int, or Fraction with denominator 1): as_integer converts
     the window.  For the all-ones Somos-4 and Somos-5, the step first
     asks ladder.propose for a_n from the terms at half its index.  On
-    generate's own buffer for spec (buffer.source == spec) that keeps no
-    identity record, the proposal is appended as it is: every term there
-    is the sequence's own, so the ladder's identity makes the proposal
-    a_n, and the bilinear sum is never formed.  On every other buffer the
-    numerator is the right side of _sides over the window with 0
-    standing in for the unknown a_n, and the proposal is appended only
-    when proposal * a_{n-k} == numerator.  As a_{n-k} != 0 that quotient
-    is unique, so there the step returns what division would.  For
-    every other spec and where no proposal passes, one
-    divmod of the numerator decides exactness.  A rational window holding a
-    non-integral fraction goes to _fractional_step, which keeps its
-    unreduced pairs; in integer mode as_integer raises ValueError,
-    naming the term.
-
-    When the buffer keeps an identity record for spec's recurrence (see
-    generate) and the step appends a term a_n from an integral window,
-    the step records buffer.identity_holds[n] = (a_n * a_{n-k} ==
-    numerator), where numerator is the bilinear sum it has just formed:
-    the recurrence identity at n, exactly as _identity evaluates it on
-    this buffer.  An accepted proposal has just passed that very
-    comparison, so it records True at no further cost.  After a divmod
-    the product is a fresh builtin multiplication of the appended term,
-    so the record does not trust _divmod: a wrong quotient with a zero
-    remainder records False at its index.  Fractional windows record
-    nothing.
+    generate's own buffer for spec (buffer.source == spec), the proposal
+    is appended as it is: every term there is the sequence's own, so the
+    ladder's identity makes the proposal a_n, and the bilinear sum is
+    never formed.  On every other buffer the numerator is the right side
+    of _sides over the window with 0 standing in for the unknown a_n, and
+    the proposal is appended only when proposal * a_{n-k} == numerator.
+    As a_{n-k} != 0 that quotient is unique, so there the step returns
+    what division would.  For every other spec and where no proposal
+    passes, one divmod of the numerator decides exactness.  A rational
+    window holding a non-integral fraction goes to _fractional_step,
+    which keeps its unreduced pairs; in integer mode as_integer raises
+    ValueError, naming the term.
     """
     if mode not in (INTEGER, RATIONAL):
         raise ValueError(f"unknown mode {mode!r}")
@@ -265,11 +241,9 @@ def next_term(buffer: SequenceBuffer, spec: SequenceSpec, mode: str = INTEGER):
         value = _fractional_step(window, spec.summands)
     else:
         value = propose(buffer, spec, n)
-        record = buffer.recorded(spec)
-        if value is None or buffer.source != spec or record is not None:
+        if value is None or buffer.source != spec:
             numerator = _sides((0, *window), spec)[1]
-            checked = value is not None and value * denominator == numerator
-            if not checked:
+            if value is None or value * denominator != numerator:
                 quotient, remainder = _divmod(numerator, abs(denominator))
                 if not remainder:
                     value = quotient if denominator > 0 else -quotient
@@ -277,8 +251,6 @@ def next_term(buffer: SequenceBuffer, spec: SequenceSpec, mode: str = INTEGER):
                     value = Fraction(numerator, denominator)
                 else:
                     return NonIntegralEvent(n, numerator, denominator, remainder)
-            if record is not None:
-                record[n] = checked or value * denominator == numerator
         if mode == RATIONAL:
             value = Fraction(value)
     buffer._terms.append(value)
@@ -319,28 +291,19 @@ def _fractional_step(window, summands) -> Fraction:
     return Fraction(total, common) / window[-1]
 
 
-def generate(
-    spec: SequenceSpec, count: int, mode: str = INTEGER, record: bool = False
-) -> SequenceBuffer:
+def generate(spec: SequenceSpec, count: int, mode: str = INTEGER) -> SequenceBuffer:
     """Generate terms at indices 0..count-1, for any count >= 0.
 
     A count below the order gives the first count initials, and a
     negative count raises ValueError.  In integer mode the first
     non-exact division aborts the run by raising NonIntegralTermError,
-    which carries the witness event and the partial buffer.  With
-    record, the buffer keeps the identity record that next_term fills,
-    at one product per integral step that divides and none per accepted
-    ladder proposal (all-ones Somos-4 and Somos-5);
-    recurrence_holds reads it for first_recurrence_violation,
-    verify_recurrence_and_windows and certify_range.  The buffer's
-    source is spec, so without a record next_term takes each ladder
-    proposal unchecked; with one, it checks each by the product it
-    records.
+    which carries the witness event and the partial buffer.  The
+    buffer's source is spec, so next_term takes each ladder proposal
+    (all-ones Somos-4 and Somos-5) unchecked; first_recurrence_violation
+    and certify_range evaluate each identity over the terms exactly.
     """
     buffer = new_state(spec).below(count)
     buffer.source = spec
-    if record:
-        buffer.identity_holds, buffer.recurrence = {}, spec.summands
     while buffer.next_index < count:
         result = next_term(buffer, spec, mode)
         if isinstance(result, NonIntegralEvent):
@@ -365,26 +328,12 @@ def first_recurrence_violation(buffer: SequenceBuffer, spec: SequenceSpec):
     """Check a_n * a_{n-k} == bilinear sum over every covered index.
 
     Returns the first index where the identity fails, or None.  Works on
-    integer and rational buffers alike.  Each index is read by
-    recurrence_holds, so a buffer from generate(..., record=True)
-    evaluates nothing, and one read from a file carries no record and is
-    evaluated in full.
+    integer and rational buffers alike, and evaluates each index by
+    _identity, whoever made the terms: generate's unchecked ladder terms
+    and a parsed b-file get the same exact check.
     """
     covered = range(window_start(buffer.start_index, spec.order), buffer.next_index)
-    return next((n for n in covered if not recurrence_holds(buffer, spec, n)), None)
-
-
-def recurrence_holds(buffer: SequenceBuffer, spec: SequenceSpec, n: int) -> bool:
-    """Whether the identity at n holds: the buffer's record for spec's
-    recurrence where it has n, else _identity.
-
-    next_term writes the record as it appends each term to this very
-    buffer, so it is read only where it was kept for spec's summands.
-    This is the one reader of identity facts; verify and certify both
-    come through it.
-    """
-    holds = (buffer.recorded(spec) or {}).get(n)
-    return _identity(buffer, spec, n) if holds is None else holds
+    return next((n for n in covered if not _identity(buffer, spec, n)), None)
 
 
 def _sides(t, spec: SequenceSpec, s: int = 0) -> tuple:
@@ -404,7 +353,11 @@ def _sides(t, spec: SequenceSpec, s: int = 0) -> tuple:
 
 def _identity(buffer: SequenceBuffer, spec: SequenceSpec, n: int) -> bool:
     """Whether a_n a_{n-k} equals the bilinear sum, exactly; a_{n-k} .. a_n
-    must be in the buffer."""
+    must be in the buffer.
+
+    This is the one reader of identity facts: first_recurrence_violation
+    and the certificate shifts both come through it.
+    """
     lhs, rhs = _sides(buffer.window(n, spec.order), spec)
     return lhs == rhs
 

@@ -15,10 +15,10 @@ index, with no division:
 
 Both lines are identities of the sequence, so from its own terms a
 proposal is a_n.  The engine step takes it unchecked only on a buffer
-that generate built for the spec and that keeps no identity record,
-where every term is the sequence's own.  On any other buffer a proposal
-is only a candidate: the step appends it only when it passes the
-recurrence identity exactly, and divides otherwise.  This module imports
+that generate built for the spec, where every term is the sequence's
+own; verify and certify then evaluate the identity at every n.  On any
+other buffer a proposal is only a candidate: the step appends it only
+when it passes the recurrence identity exactly, and divides otherwise.  This module imports
 nothing from the package but its errors.
 """
 

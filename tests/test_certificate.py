@@ -30,6 +30,7 @@ from somos import (
     somos_k_spec,
 )
 from somos.bigint import to_decimal
+from somos.cli import main
 from somos.coprime import first_failure
 from somos.certificate import _chain_lines, _failure_reason
 from somos.engine import _identity, _sides
@@ -512,27 +513,14 @@ def oracle_values(buffer):
     return {n: v.numerator if getattr(v, "denominator", 1) == 1 else v for n, v in buffer.items()}
 
 
-def rational_somos5(initials, count=40, record=False):
+def rational_somos5(initials, count=40):
     """Somos-5 from initials in rational mode, up to count terms or the first zero divisor."""
     spec = replace(somos5_spec(), initials=initials)
-    buffer = generate(spec, 5, mode=RATIONAL, record=record)
+    buffer = generate(spec, 5, mode=RATIONAL)
     with suppress(ZeroDenominatorError):
         while buffer.next_index < count:
             next_term(buffer, spec, RATIONAL)
     return buffer
-
-
-def recorded(buffer, identity_holds):
-    """A copy of buffer that carries identity_holds as its Somos-5 identity record."""
-    copy = SequenceBuffer(buffer.values(), buffer.start_index)
-    copy.identity_holds, copy.recurrence = identity_holds, somos5_spec().summands
-    return copy
-
-
-def true_record(buffer):
-    """The value of each Somos-5 identity over the buffer, by index."""
-    lo = max(buffer.start_index + 5, 5)
-    return {n: _identity(buffer, somos5_spec(), n) for n in range(lo, buffer.next_index)}
 
 
 class TestRangeSharesIdentities:
@@ -592,17 +580,10 @@ class TestRangeSharesIdentities:
             assert oracle_layout(certificate) == certificate_oracle(values, certificate.index)
         return ranged, built
 
-    def check_with_record(self, buffer, with_record, start, stop, monkeypatch):
-        """check both buffers, the second holding the same terms and an identity
-        record; they give the same report and the same certificates."""
-        assert with_record.values() == buffer.values() and with_record.identity_holds
-        ranged, built = self.check(buffer, start, stop, monkeypatch)
-        assert self.check(with_record, start, stop, monkeypatch) == (ranged, built)
-        return ranged, built
-
     def test_clean_range(self, somos5_buffer, monkeypatch):
-        generated = generate(somos5_spec(), 450, record=True)
-        ranged, built = self.check_with_record(somos5_buffer(450), generated, 10, 450, monkeypatch)
+        generated = generate(somos5_spec(), 450)
+        assert generated.values() == somos5_buffer(450).values()
+        ranged, built = self.check(generated, 10, 450, monkeypatch)
         assert ranged[3:5] == (440, True) and len(built) == 440
 
     @pytest.mark.parametrize("kind", ["plus-one", "negated", "zeroed"])
@@ -611,18 +592,14 @@ class TestRangeSharesIdentities:
         values = list(somos5_values[:60])
         values[where] = {"plus-one": values[where] + 1, "negated": -values[where], "zeroed": 0}[kind]
         buffer = SequenceBuffer(values)
-        # A record of each identity's true value, as a step that made these terms would keep.
-        with_record = recorded(buffer, true_record(buffer))
         for start in (10, where - 3, where + 1, where + 5):
-            self.check_with_record(buffer, with_record, max(start, 10), 60, monkeypatch)
+            self.check(buffer, max(start, 10), 60, monkeypatch)
 
     def test_a_wrong_quotient_fails_the_recorded_shift(self, monkeypatch, wrong_last_quotient):
         wrong_last_quotient(300 - 5)
-        generated = generate(somos5_spec(), 300, record=True)
+        generated = generate(somos5_spec(), 300)
         monkeypatch.undo()
-        assert [n for n, holds in generated.identity_holds.items() if not holds] == [299]
-        bare = SequenceBuffer(generated.values())
-        ranged, _ = self.check_with_record(bare, generated, 295, 301, monkeypatch)
+        ranged, _ = self.check(generated, 295, 301, monkeypatch)
         assert ranged[3:7] == (6, False, 300, "shift identity at offset 1 fails")
 
     def test_zero_modulus_raises_at_the_same_index(self, somos5_values, monkeypatch):
@@ -641,15 +618,12 @@ class TestRangeSharesIdentities:
 
     def test_offset_buffer(self, somos5_values, monkeypatch):
         buffer = SequenceBuffer(list(somos5_values[37:120]), start_index=37)
-        generated = generate(somos5_spec(), 120, record=True).identity_holds
-        with_record = recorded(buffer, {n: generated[n] for n in range(42, 120)})
-        ranged, _ = self.check_with_record(buffer, with_record, 47, 120, monkeypatch)
+        ranged, _ = self.check(buffer, 47, 120, monkeypatch)
         assert ranged[3:5] == (73, True)
 
     def test_rational_somos5_buffer(self, monkeypatch):
         buffer = generate(somos5_spec(), 120, mode=RATIONAL)
-        generated = generate(somos5_spec(), 120, mode=RATIONAL, record=True)
-        ranged, built = self.check_with_record(buffer, generated, 10, 120, monkeypatch)
+        ranged, built = self.check(buffer, 10, 120, monkeypatch)
         assert ranged[3:5] == (110, True)
         assert built == [build_certificate(generate(somos5_spec(), 120), n) for n in range(10, 120)]
 
@@ -679,16 +653,12 @@ class TestRangeSharesIdentities:
     @given(initials=st.tuples(*[st.integers(-3, 3)] * 5), start=st.integers(10, 30))
     @example(initials=(-3, -3, -3, 1, 2), start=10)
     def test_small_initials(self, initials, start):
-        # The rational buffer, with and without the record its steps keep, and
-        # its floor, whose identities break where a term is fractional.
+        # The rational buffer and its floor, whose identities break where a
+        # term is fractional.
         buffer = rational_somos5(initials)
         floored = SequenceBuffer([floor(value) for _, value in buffer.items()])
         with pytest.MonkeyPatch.context() as monkeypatch:
-            with_record = rational_somos5(initials, record=True)
-            if with_record.identity_holds:
-                self.check_with_record(buffer, with_record, start, buffer.next_index, monkeypatch)
-            else:
-                self.check(buffer, start, buffer.next_index, monkeypatch)
+            self.check(buffer, start, buffer.next_index, monkeypatch)
             self.check(floored, start, floored.next_index, monkeypatch)
 
     @pytest.mark.parametrize("start", [10, 40])
@@ -708,8 +678,8 @@ class TestRangeSharesIdentities:
 
     @staticmethod
     def _evaluated_identities(monkeypatch):
-        # The indices engine._identity is called at, in order; the
-        # certificate's own _sides and _divmod refuse to run.
+        # The indices the certificate module calls engine._identity at, in
+        # order; its own _sides and _divmod refuse to run.
         evaluated = []
         identity = somos.engine._identity
 
@@ -717,7 +687,7 @@ class TestRangeSharesIdentities:
             raise AssertionError("evaluated outside _identity")
 
         monkeypatch.setattr(
-            somos.engine, "_identity", lambda b, s, n: evaluated.append(n) or identity(b, s, n)
+            somos.certificate, "_identity", lambda b, s, n: evaluated.append(n) or identity(b, s, n)
         )
         monkeypatch.setattr(somos.certificate, "_sides", refuse)
         monkeypatch.setattr(somos.certificate, "_divmod", refuse)
@@ -731,8 +701,8 @@ class TestRangeSharesIdentities:
         assert evaluated == list(range(5, 450))
 
     def test_an_early_failure_ends_the_evaluations(self, monkeypatch):
-        # Identities are read as the walk reaches them, so a range over
-        # terms without a record that fails early evaluates none past it.
+        # Identities are read as the walk reaches them, so a range that
+        # fails early evaluates none past it.
         values = generate(somos5_spec(), 1000).values()
         values[20] += 1
         evaluated = self._evaluated_identities(monkeypatch)
@@ -744,13 +714,12 @@ class TestRangeSharesIdentities:
         assert report.first_failure_reason == "shift identity at offset 1 fails"
         assert evaluated == list(range(5, 22))
 
-    def test_a_recorded_range_evaluates_no_identity(self, monkeypatch):
-        buffer = generate(somos5_spec(), 450, record=True)
+    def test_generated_certify_evaluates_each_identity_once(self, monkeypatch, capsys):
+        # generate takes the ladder's terms unchecked; certify checks each one.
         evaluated = self._evaluated_identities(monkeypatch)
-        monkeypatch.setattr(somos.engine, "_sides", somos.certificate._sides)  # refuses
-        report = certify_range(buffer, 10, 450)
-        assert (report.passed, report.checked) == (True, 440)
-        assert evaluated == []
+        assert main(["certify", "--count", "300"]) == 0
+        assert capsys.readouterr().out == "certificate over n in [10, 300): 290 checked, pass\n"
+        assert evaluated == list(range(5, 300))
 
     def test_at_index_past_the_buffer_the_residue_is_divided(self, somos5_buffer, monkeypatch):
         divisions = []

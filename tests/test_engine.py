@@ -37,8 +37,8 @@ from somos import (
 )
 from somos.bigint import _DIV_LIMIT
 from somos.cli import main
-from somos.engine import _divmod, _fractional_step, _identity
-from somos.formats import parse_bfile, to_decimal
+from somos.engine import _divmod, _fractional_step
+from somos.formats import to_decimal
 
 from helpers import SOMOS_SUMMANDS, first_fractional_index, fraction_terms
 
@@ -523,80 +523,10 @@ class TestRecurrenceRecheck:
         buffer = SequenceBuffer(list(somos5_values[3:40]), start_index=3)
         assert first_recurrence_violation(buffer, somos5_spec()) is None
 
-    @pytest.mark.parametrize("k", [4, 5, 6, 7])
-    def test_generate_records_every_identity(self, k):
-        spec = somos_k_spec(k)
-        buffer = generate(spec, 300, INTEGER, record=True)
-        assert sorted(buffer.identity_holds) == list(range(k, 300))
-        for n, holds in buffer.identity_holds.items():
-            assert holds == _identity(buffer, spec, n)
-
-    def test_rational_steps_record_only_integral_windows(self):
-        spec = somos_k_spec(8)
-        buffer = generate(spec, 30, RATIONAL, record=True)
-        integral = [
-            n
-            for n in range(8, 30)
-            if all(buffer.term(n - i).denominator == 1 for i in range(1, 9))
-        ]
-        assert integral != list(range(8, 30))  # some windows hold fractions
-        assert sorted(buffer.identity_holds) == integral
-        for n, holds in buffer.identity_holds.items():
-            assert holds is True and _identity(buffer, spec, n)
-
-    def test_recorded_facts_are_read_and_the_rest_evaluated(self, somos5_values):
-        spec = somos5_spec()
-
-        def recorded(buffer, identity_holds):
-            buffer.identity_holds, buffer.recurrence = identity_holds, spec.summands
-            return buffer
-
-        clean = recorded(SequenceBuffer(list(somos5_values[:50])), {30: False})
-        assert first_recurrence_violation(clean, spec) == 30
-        values = list(somos5_values[:50])
-        values[45] += 1
-        # a_45 enters the identities at n = 45..49; those up to 46 read True.
-        corrupted = recorded(SequenceBuffer(values), {n: True for n in range(5, 47)})
-        assert first_recurrence_violation(corrupted, spec) == 47
-        assert first_recurrence_violation(recorded(SequenceBuffer(values), {}), spec) == 45
-
-    def test_a_record_is_read_only_for_its_own_recurrence(self):
-        # Somos-4's record, which holds every n >= 4, says nothing about the
-        # Somos-5 identity over its terms.
-        buffer = generate(somos_k_spec(4), 40, record=True)
-        bare = SequenceBuffer(buffer.values())
-        assert buffer.recorded(somos_k_spec(4)) is buffer.identity_holds
-        assert buffer.recorded(somos5_spec()) is None
+    def test_somos4_terms_violate_somos5_at_6(self):
         # a_6 a_1 = 7, against a_5 a_2 + a_4 a_3 = 5.
+        buffer = generate(somos_k_spec(4), 40)
         assert first_recurrence_violation(buffer, somos5_spec()) == 6
-        assert first_recurrence_violation(bare, somos5_spec()) == 6
-        # Stepping another recurrence adds nothing to the record.
-        recorded = dict(buffer.identity_holds)
-        next_term(buffer, somos5_spec(), RATIONAL)
-        assert buffer.identity_holds == recorded
-
-
-class TestIdentityRecord:
-    """Only generate(..., record=True) makes a buffer that keeps the record."""
-
-    def test_other_buffers_carry_no_record(self, somos5_values):
-        spec = somos5_spec()
-        for buffer in (
-            SequenceBuffer(somos5_values[:40]),
-            generate(spec, 40),
-            parse_bfile("".join(f"{n} {v}\n" for n, v in enumerate(somos5_values[:40]))),
-        ):
-            assert buffer.identity_holds is None and buffer.recorded(spec) is None
-        assert generate(spec, 40, record=True).recorded(spec) == {n: True for n in range(5, 40)}
-
-    def test_below_drops_the_record(self):
-        spec = somos5_spec()
-        buffer = generate(spec, 40, record=True)
-        assert buffer.below(None) is buffer
-        for count in (0, 3, 20, 40, 60):
-            bounded = buffer.below(count)
-            assert bounded.identity_holds is None and bounded.recorded(spec) is None
-            assert bounded.values() == buffer.values()[:count]
 
 
 def digits(value) -> int:

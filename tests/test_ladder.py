@@ -15,8 +15,10 @@ from somos import (
     generate,
     next_term,
     somos5_spec,
+    new_state,
     somos_k_spec,
 )
+from somos.cli import main
 from somos.ladder import propose
 
 from helpers import SOMOS_SUMMANDS, fraction_terms
@@ -63,6 +65,15 @@ def test_no_proposal_for_another_spec(spec):
     assert [propose(buffer, spec, n) for n in range(spec.order, 41)] == [None] * (41 - spec.order)
 
 
+def _stepped(spec, count):
+    """The first count terms, each appended by next_term to a new_state
+    buffer, which is not generate's own: every proposal is checked."""
+    buffer = new_state(spec)
+    while buffer.next_index < count:
+        next_term(buffer, spec)
+    return buffer
+
+
 def _count_divisions(monkeypatch):
     divisions = []
     divide = somos.engine._divmod
@@ -103,12 +114,12 @@ def test_integral_fractions_propose_an_int():
 def test_the_ladder_leaves_only_the_first_steps_to_division(monkeypatch, k, count, divided):
     # Somos-5 divides at n = 5, 6, 7, where the stream index is below 4.
     divisions = _count_divisions(monkeypatch)
-    buffer = generate(somos_k_spec(k), count, record=True)
+    buffer = _stepped(somos_k_spec(k), count)
     assert len(divisions) == divided
-    assert all(buffer.identity_holds.values()) and len(buffer.identity_holds) == count - k
+    assert buffer.values() == _oracle(k, count)
 
 
-def test_rational_mode_takes_the_checked_proposal(monkeypatch):
+def test_rational_generate_takes_each_proposal_unchecked(monkeypatch):
     oracle = _oracle(5, 1000)[:700]
     divisions = _count_divisions(monkeypatch)
     buffer = generate(somos5_spec(), 700, mode=RATIONAL)
@@ -120,7 +131,7 @@ def test_rational_mode_takes_the_checked_proposal(monkeypatch):
 @pytest.mark.parametrize("k", [4, 5])
 def test_a_rejected_proposal_falls_through_to_division(monkeypatch, k):
     spec, count = somos_k_spec(k), 300
-    clean = generate(spec, count, record=True)
+    clean = generate(spec, count)
     proposals, rejected, divided = [], [], []
 
     def off_by_one(buffer, spec, n):
@@ -136,10 +147,8 @@ def test_a_rejected_proposal_falls_through_to_division(monkeypatch, k):
     monkeypatch.setattr(
         somos.engine, "_divmod", lambda a, b: divided.append(proposals[-1]) or divide(a, b)
     )
-    buffer = generate(spec, count, record=True)
+    buffer = _stepped(spec, count)
     assert buffer.values() == clean.values()
-    assert buffer.identity_holds == clean.identity_holds
-    assert set(buffer.identity_holds.values()) == {True}
     assert rejected == [n for n in range(k, count) if n // STRIDE[k] >= 4]
     assert divided == proposals == list(range(k, count))
 
@@ -157,7 +166,7 @@ def test_generated_terms_are_the_fraction_recursion(k, count, mode):
     ids=["somos-5", "somos-4"],
 )
 def test_generate_forms_the_bilinear_sum_only_without_a_proposal(monkeypatch, k, windows):
-    # On generate's own unrecorded buffer a proposal is the term, so the
+    # On generate's own buffer a proposal is the term, so the
     # bilinear sum is formed only at Somos-5's n = 5, 6, 7, whose stream
     # index is below 4; each window is (0, a_{n-1}, ..., a_{n-5}).
     formed = []
@@ -168,6 +177,28 @@ def test_generate_forms_the_bilinear_sum_only_without_a_proposal(monkeypatch, k,
     buffer = generate(somos_k_spec(k), 300)
     assert formed == windows
     assert buffer.values() == _oracle(k, 600)[:300]
+
+
+def test_a_wrong_ladder_term_fails_the_identity_pass(monkeypatch, capsys):
+    # generate takes the ladder's a_299 unchecked; verify's identity pass
+    # names it.  No certificate in [10, 300) reads a_299, as the residue at
+    # 299 is divided once the identity there fails, so certify --count 300
+    # passes, and the certificate at 300 fails on the identity at 299.
+    def off_by_one_at_299(buffer, spec, n):
+        value = propose(buffer, spec, n)
+        return value + 1 if n == 299 else value
+
+    monkeypatch.setattr(somos.engine, "propose", off_by_one_at_299)
+    assert main(["verify", "--count", "300"]) == 1
+    assert main(["certify", "--count", "300"]) == 0
+    assert main(["certify", "--count", "301"]) == 1
+    assert capsys.readouterr().out == (
+        "recurrence-identity over n in [5, 300): 295 checked, FAIL; "
+        "first failure at n = 299 (a_n * a_{n-k} != bilinear sum)\n"
+        "certificate over n in [10, 300): 290 checked, pass\n"
+        "certificate over n in [10, 301): 291 checked, FAIL; "
+        "first failure at n = 300 (shift identity at offset 1 fails)\n"
+    )
 
 
 def test_a_term_appended_by_hand_ends_the_trust():
