@@ -6,12 +6,12 @@ A spec of order k defines the recurrence
 
 with i + j = k, so every new term is the bilinear sum divided by a_{n-k}.
 All arithmetic is exact.  A step from an integral window performs checked
-integer division, or for the all-ones Somos-4 and Somos-5 checks a
-division-free proposal by one product; on generate's own buffer it
-takes the proposal unchecked, and first_recurrence_violation is the
-exact check of those terms.  Integer mode surfaces any non-exact
-quotient as a first-class witness; rational mode continues with exact
-fractions (always in lowest terms, positive denominator).
+integer division, except on generate's own buffer for the all-ones
+Somos-4 and Somos-5, where it takes the ladder's division-free term
+unchecked and first_recurrence_violation is the exact check of those
+terms.  Integer mode surfaces any non-exact quotient as a first-class
+witness; rational mode continues with exact fractions (always in lowest
+terms, positive denominator).
 """
 
 from __future__ import annotations
@@ -112,7 +112,9 @@ class SequenceBuffer:
     source is the spec whose generate built the buffer, else None.  Only
     generate sets it; append, the public way to add a term, clears it,
     and below() gives a buffer without it.  So source == spec means that
-    every term was appended by next_term for spec from spec's initials.
+    the buffer starts at 0 and every term was appended by next_term for
+    spec from spec's initials: the one case where next_term asks the
+    ladder.
     """
 
     def __init__(self, terms, start_index: int = 0):
@@ -211,17 +213,13 @@ def next_term(buffer: SequenceBuffer, spec: SequenceSpec, mode: str = INTEGER):
 
     Both modes share one integer step while a_{n-1} .. a_{n-k} are all
     integral (int, or Fraction with denominator 1): as_integer converts
-    the window.  For the all-ones Somos-4 and Somos-5, the step first
-    asks ladder.propose for a_n from the terms at half its index.  On
-    generate's own buffer for spec (buffer.source == spec), the proposal
-    is appended as it is: every term there is the sequence's own, so the
-    ladder's identity makes the proposal a_n, and the bilinear sum is
-    never formed.  On every other buffer the numerator is the right side
-    of _sides over the window with 0 standing in for the unknown a_n, and
-    the proposal is appended only when proposal * a_{n-k} == numerator.
-    As a_{n-k} != 0 that quotient is unique, so there the step returns
-    what division would.  For every other spec and where no proposal
-    passes, one divmod of the numerator decides exactness.  A rational
+    the window.  On generate's own buffer for spec (buffer.source ==
+    spec), the step asks ladder.propose for a_n from the terms at half
+    its index and appends a proposal as it is: every term there is the
+    sequence's own, so the ladder's identity makes it a_n.  Otherwise,
+    and where the ladder has no proposal, the numerator is the right
+    side of _sides over the window with 0 standing in for the unknown
+    a_n, and one divmod of it decides exactness.  A rational
     window holding a non-integral fraction goes to _fractional_step,
     which keeps its unreduced pairs; in integer mode as_integer raises
     ValueError, naming the term.
@@ -240,17 +238,16 @@ def next_term(buffer: SequenceBuffer, spec: SequenceSpec, mode: str = INTEGER):
     if fractional:
         value = _fractional_step(window, spec.summands)
     else:
-        value = propose(buffer, spec, n)
-        if value is None or buffer.source != spec:
+        value = propose(buffer, spec, n) if buffer.source == spec else None
+        if value is None:
             numerator = _sides((0, *window), spec)[1]
-            if value is None or value * denominator != numerator:
-                quotient, remainder = _divmod(numerator, abs(denominator))
-                if not remainder:
-                    value = quotient if denominator > 0 else -quotient
-                elif mode == RATIONAL:
-                    value = Fraction(numerator, denominator)
-                else:
-                    return NonIntegralEvent(n, numerator, denominator, remainder)
+            quotient, remainder = _divmod(numerator, abs(denominator))
+            if not remainder:
+                value = quotient if denominator > 0 else -quotient
+            elif mode == RATIONAL:
+                value = Fraction(numerator, denominator)
+            else:
+                return NonIntegralEvent(n, numerator, denominator, remainder)
         if mode == RATIONAL:
             value = Fraction(value)
     buffer._terms.append(value)
@@ -298,7 +295,7 @@ def generate(spec: SequenceSpec, count: int, mode: str = INTEGER) -> SequenceBuf
     negative count raises ValueError.  In integer mode the first
     non-exact division aborts the run by raising NonIntegralTermError,
     which carries the witness event and the partial buffer.  The
-    buffer's source is spec, so next_term takes each ladder proposal
+    buffer's source is spec, so next_term takes each ladder term
     (all-ones Somos-4 and Somos-5) unchecked; first_recurrence_violation
     and certify_range evaluate each identity over the terms exactly.
     """

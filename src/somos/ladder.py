@@ -14,19 +14,17 @@ index, with no division:
     b_{2m-1} = W_{m-1}^2 b_{m+1} b_{m-1} - W_m W_{m-2}     b_m^2
 
 Both lines are identities of the sequence, so from its own terms a
-proposal is a_n.  The engine step takes it unchecked only on a buffer
-that generate built for the spec, where every term is the sequence's
-own; verify and certify then evaluate the identity at every n.  On any
-other buffer a proposal is only a candidate: the step appends it only
-when it passes the recurrence identity exactly, and divides otherwise.  This module imports
-nothing from the package but its errors.
+proposal is a_n.  The engine step asks for one only on a buffer that
+generate built for the spec: it starts at index 0 and holds every term,
+all integral and all the sequence's own, so the step takes the proposal
+unchecked, and verify and certify --count then evaluate the identity at
+every n.  Every other buffer divides.  This module imports nothing from
+the package.
 """
 
 from __future__ import annotations
 
 from functools import cache
-
-from .errors import IndexOutOfRangeError
 
 # (order, summands, initials) -> (stride of a stream, W_0 .. W_4).
 _LADDERS = {
@@ -36,11 +34,11 @@ _LADDERS = {
 
 
 def propose(buffer, spec, n: int) -> int | None:
-    """The ladder's candidate for a_n, from the buffer's own terms.
+    """a_n from the three terms at half its index, on a buffer that
+    generate built for spec.
 
-    None for a spec outside the table, for a stream index j < 4 (where
-    the half-index terms are not all behind n), and when the buffer does
-    not hold the three half-index terms as integers.
+    None for a spec outside the table and for a stream index j < 4,
+    where the half-index terms are not all behind n.
     """
     ladder = _LADDERS.get((spec.order, spec.summands, spec.initials))
     if ladder is None:
@@ -50,14 +48,8 @@ def propose(buffer, spec, n: int) -> int | None:
     if j < 4:
         return None
     m = (j + 1) >> 1
-    try:
-        window = buffer.window(stride * (m + 1) + parity, 2 * stride)
-    except IndexOutOfRangeError:
-        return None
-    terms = window[0], window[stride], window[2 * stride]  # b_{m+1}, b_m, b_{m-1}
-    if any(v.denominator != 1 for v in terms):
-        return None
-    up, mid, down = (v.numerator for v in terms)
+    # b_{m+1}, b_m, b_{m-1}: ints, or rational mode's integral Fractions.
+    up, mid, down = (buffer.term(stride * (m + d) + parity).numerator for d in (1, 0, -1))
     h = m if j % 2 == 0 else m - 1  # b_j = b_{m+h} with b_{m-h} = b_0 or b_1 = 1
     square, cross = _coefficients(seed, h)
     return square * (up * down) - cross * mid**2

@@ -49,7 +49,9 @@ def _rational_prefix(spec: SequenceSpec, max_terms: int):
 
     Returns (buffer, event); the buffer includes the offending fractional
     term when event is not None.  The event is the engine's own: an
-    integer-mode step over the integral terms below it.
+    integer-mode step over the integral terms below it.  The buffer is
+    new_state's, not generate's, so every step divides, Somos-4 and
+    Somos-5 included.
     """
     buffer = new_state(spec)
     if max_terms < spec.order:

@@ -65,12 +65,12 @@ def test_no_proposal_for_another_spec(spec):
     assert [propose(buffer, spec, n) for n in range(spec.order, 41)] == [None] * (41 - spec.order)
 
 
-def _stepped(spec, count):
+def _stepped(spec, count, mode=INTEGER):
     """The first count terms, each appended by next_term to a new_state
-    buffer, which is not generate's own: every proposal is checked."""
+    buffer, which is not generate's own: every step divides."""
     buffer = new_state(spec)
     while buffer.next_index < count:
-        next_term(buffer, spec)
+        next_term(buffer, spec, mode)
     return buffer
 
 
@@ -85,7 +85,6 @@ def test_offset_buffer_has_no_proposal_and_still_divides(monkeypatch):
     spec, count = somos5_spec(), 300
     expected = generate(spec, count + 1).term(count)
     tail = SequenceBuffer(generate(spec, count).values()[count - 10 :], start_index=count - 10)
-    assert propose(tail, spec, count) is None
     divisions = _count_divisions(monkeypatch)
     assert next_term(tail, spec) == expected and tail.term(count) == expected
     assert divisions == [tail.term(count - 5)]
@@ -97,7 +96,6 @@ def test_a_non_integral_half_index_term_withholds_the_proposal():
     terms = values[:40]
     terms[20] = Fraction(1, 2)  # b_10 of the even stream, read for n = 40
     buffer = SequenceBuffer(terms)
-    assert propose(buffer, spec, 40) is None
     assert next_term(buffer, spec) == values[40]
 
 
@@ -114,7 +112,7 @@ def test_integral_fractions_propose_an_int():
 def test_the_ladder_leaves_only_the_first_steps_to_division(monkeypatch, k, count, divided):
     # Somos-5 divides at n = 5, 6, 7, where the stream index is below 4.
     divisions = _count_divisions(monkeypatch)
-    buffer = _stepped(somos_k_spec(k), count)
+    buffer = generate(somos_k_spec(k), count)
     assert len(divisions) == divided
     assert buffer.values() == _oracle(k, count)
 
@@ -128,29 +126,17 @@ def test_rational_generate_takes_each_proposal_unchecked(monkeypatch):
     assert len(divisions) == 3
 
 
-@pytest.mark.parametrize("k", [4, 5])
-def test_a_rejected_proposal_falls_through_to_division(monkeypatch, k):
-    spec, count = somos_k_spec(k), 300
-    clean = generate(spec, count)
-    proposals, rejected, divided = [], [], []
+@pytest.mark.parametrize("mode", [INTEGER, RATIONAL])
+@pytest.mark.parametrize("k, count", [(5, 1000), (4, 600)])
+def test_a_stepped_buffer_never_asks_the_ladder(monkeypatch, k, count, mode):
+    def refuse(buffer, spec, n):
+        raise AssertionError(f"the ladder was asked for a_{n} off generate's buffer")
 
-    def off_by_one(buffer, spec, n):
-        proposals.append(n)
-        value = propose(buffer, spec, n)
-        if value is None:
-            return None
-        rejected.append(n)
-        return value + 1
-
-    divide = somos.engine._divmod
-    monkeypatch.setattr(somos.engine, "propose", off_by_one)
-    monkeypatch.setattr(
-        somos.engine, "_divmod", lambda a, b: divided.append(proposals[-1]) or divide(a, b)
-    )
-    buffer = _stepped(spec, count)
-    assert buffer.values() == clean.values()
-    assert rejected == [n for n in range(k, count) if n // STRIDE[k] >= 4]
-    assert divided == proposals == list(range(k, count))
+    monkeypatch.setattr(somos.engine, "propose", refuse)
+    divisions = _count_divisions(monkeypatch)
+    buffer = _stepped(somos_k_spec(k), count, mode)
+    assert len(divisions) == count - k
+    assert buffer.values() == _oracle(k, count)
 
 
 @pytest.mark.parametrize("mode", [INTEGER, RATIONAL])
