@@ -1,8 +1,8 @@
 """Exact division and decimal text for integers of any size.
 
 Somos-5's a_n has about 0.103 n^2 bits (a_1000 has about 31,000 digits),
-so engine steps, certificate residues and printed witnesses run past two
-limits of CPython 3.11's builtins:
+so engine steps, identity checks, certificate residues and printed
+witnesses run past three limits of CPython 3.11's builtins:
 
   * divmod divides by schoolbook, in quadratic time.  _divmod is the
     builtin while the divisor or the quotient has at most _DIV_LIMIT
@@ -14,16 +14,25 @@ limits of CPython 3.11's builtins:
     _LEAF_DIGITS digits, so no digit limit the interpreter accepts is
     ever reached.  decimal_repr, a dataclass __repr__, prints field
     values through to_decimal.
+  * deciding an equality of products, x*y == sum of u*v, costs every
+    product in full.  _mersenne_exponents and _mersenne_residue let a
+    caller decide it exactly from residues modulo M_i = 2^{p_i} - 1,
+    whose products are far smaller: _mersenne_exponents states why
+    enough of them prove equality.
 
 Every result is exact at any size, and no function touches process-wide
-state.  This module imports nothing from the package.
+state beyond functools caches of values fixed for the process.  This
+module imports nothing from the package.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import fields
 from functools import cache
+from itertools import accumulate
+from math import isqrt
 
 # Divisions with a divisor or quotient of at most this many bits are left
 # to the builtin divmod; it is also the leaf size of _divmod's recursion.
@@ -35,6 +44,13 @@ from functools import cache
 _DIV_LIMIT = 2000
 
 _INT_FIELD = re.compile(r"[+-]?[0-9]+")
+
+# The smallest exponent p of a modulus 2^p - 1.  Smaller moduli mean
+# cheaper residue products but more of them, and more folds of each term.
+# Timed on CPython 3.11.7 over the Somos-5 identity pass to n = 700 and
+# 1000, best of 11 and of 5: starts of 1,499 and 2,003 came within 8% of
+# this one, and 4,001 was slower.
+_MERSENNE_START = 3001
 
 # Leaf size, in decimal digits, of the divide-and-conquer conversions.  It
 # is below 640, the smallest nonzero int<->str digit limit the interpreter
@@ -122,6 +138,59 @@ def _div3n2n(
         q -= 1
         r += b
     return q, r
+
+
+def _mersenne_exponents(bound: int) -> tuple[int, ...]:
+    """The fewest primes p_1 < p_2 < ... from _MERSENNE_START up with
+    sum(p_i - 1) >= bound.
+
+    Their moduli M_i = 2^{p_i} - 1 are pairwise coprime, as
+    gcd(2^a - 1, 2^b - 1) = 2^{gcd(a, b)} - 1 (Knuth, TAOCP vol. 2,
+    4.3.2) and distinct primes have gcd 1.  So an integer d with
+    |d| < 2^bound that every M_i divides is 0: their product divides d
+    and is at least the product of the 2^{p_i - 1}, which is 2^bound or
+    more.  The primes are found by trial division on first use and kept
+    in a table that doubles as bounds grow.
+    """
+    size = 64
+    while True:
+        primes, sums = _exponent_table(size)
+        if sums[-1] >= bound:
+            return primes[: bisect_left(sums, bound) + 1]
+        size *= 2
+
+
+@cache
+def _exponent_table(size: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The first size primes from _MERSENNE_START up, and the running sums of p - 1."""
+    primes = []
+    p = _MERSENNE_START
+    while len(primes) < size:
+        if all(p % d for d in range(2, isqrt(p) + 1)):
+            primes.append(p)
+        p += 1
+    return tuple(primes), tuple(accumulate(p - 1 for p in primes))
+
+
+def _mersenne_residue(x: int, p: int) -> int:
+    """x mod 2^p - 1, in [0, 2^p - 1), for any int x and p >= 1.
+
+    As 2^p = 1 modulo M = 2^p - 1, so is 2^m for every multiple m of p,
+    and x = hi * 2^m + lo is congruent to hi + lo.  Folding at the
+    multiple of p nearest below half of x's width roughly halves x each
+    time at the cost of a shift, a mask and an add; below 2p bits, folds
+    at p itself leave at most M, which is 0.
+    """
+    if x < 0:
+        r = _mersenne_residue(-x, p)
+        return (1 << p) - 1 - r if r else 0
+    while (n := x.bit_length()) > 2 * p:
+        m = n // (2 * p) * p
+        x = (x >> m) + (x & ((1 << m) - 1))
+    mask = (1 << p) - 1
+    while x > mask:
+        x = (x >> p) + (x & mask)
+    return 0 if x == mask else x
 
 
 def to_decimal(value: int) -> str:

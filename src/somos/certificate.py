@@ -15,8 +15,10 @@ belongs to five consecutive certificates.  check_index_shifts is the one
 shift reader: every certificate gets its shifts and its window from it.
 It reads each shift through holds(j), whether the recurrence at j holds
 over the buffer: engine._identity, which evaluates it exactly.
-certify_range hands every certificate one reader, cached for the range;
-a certificate built alone reads through the uncached one.  The
+certify_range hands every certificate one reader, cached for the range
+and holding the range's one residue store, so that identities of large
+terms are decided by residues as in verify; a certificate built alone
+reads through the uncached one, which compares the sides.  The
 recurrence at n also settles the residue: where a_n is an integral term
 of the buffer and that identity holds, a_n a_{n-5} equals the numerator
 exactly and the residue is 0.  Only where it fails, or a_n is absent
@@ -289,7 +291,8 @@ def certify_range(
         start = window_start(buffer.start_index, CERTIFICATE_START)
     if stop is None:
         stop = buffer.next_index
-    holds = cache(partial(_identity, buffer, _SOMOS5))
+    store = {}
+    holds = cache(lambda j: _identity(buffer, _SOMOS5, j, store))
 
     @cache
     def seeded():

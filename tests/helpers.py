@@ -12,16 +12,33 @@ from functools import cache
 from math import gcd
 
 
+# The Fraction prefixes built so far, one per (order, summands, initials);
+# the module is imported once, so this is the test session's oracle.
+_PREFIXES = {}
+
+
 def fraction_terms(order, summands, count, initials=None):
-    """Evaluate the recurrence a_n = (sum a_{n-i} a_{n-j}) / a_{n-k} with Fractions."""
+    """Evaluate the recurrence a_n = (sum a_{n-i} a_{n-j}) / a_{n-k} with Fractions.
+
+    Returns a new list of the first count terms, or of the initials if more.  Each recurrence's
+    prefix is built once per session and extended when a longer one is
+    asked for (Somos-5 to 1000 takes seconds), so every test module shares
+    one oracle.
+    """
     if initials is None:
         initials = [1] * order
-    terms = [Fraction(v) for v in initials]
+    key = (order, tuple(map(tuple, summands)), tuple(initials))
+    terms = _PREFIXES.setdefault(key, [Fraction(v) for v in initials])
     while len(terms) < count:
         n = len(terms)
         numerator = sum(terms[n - i] * terms[n - j] for i, j in summands)
         terms.append(numerator / terms[n - order])
-    return terms
+    return terms[: max(count, len(initials))]
+
+
+def somos_terms(k, count):
+    """The first count all-ones Somos-k terms, from the shared Fraction oracle."""
+    return fraction_terms(k, SOMOS_SUMMANDS[k], count)
 
 
 def first_fractional_index(terms):

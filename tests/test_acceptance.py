@@ -29,7 +29,7 @@ from somos import (
 from somos.cli import main
 from somos.formats import emit_bfile
 
-from helpers import SOMOS_SUMMANDS, first_fractional_index, fraction_terms
+from helpers import SOMOS_SUMMANDS, first_fractional_index, somos_terms
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "b006721.txt"
 
@@ -113,7 +113,7 @@ def test_criterion_6_breakdown_detection():
     ok = clean and event is not None
     if ok:
         # independent recomputation: plain Fraction recursion, no engine
-        oracle = fraction_terms(8, SOMOS_SUMMANDS[8], event.index + 1)
+        oracle = somos_terms(8, event.index + 1)
         numerator = sum(
             oracle[event.index - i] * oracle[event.index - j] for i, j in SOMOS_SUMMANDS[8]
         )

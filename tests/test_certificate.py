@@ -35,7 +35,7 @@ from somos.coprime import first_failure
 from somos.certificate import _chain_lines, _failure_reason
 from somos.engine import _identity, _sides
 
-from helpers import SOMOS_SUMMANDS, certificate_oracle, first_fractional_index, fraction_terms
+from helpers import certificate_oracle, first_fractional_index, somos_terms
 
 
 def oracle_layout(certificate):
@@ -445,7 +445,7 @@ class TestVerifyIntegrality:
         assert somos5_values[12] == 1217
 
     def test_somos8_fails_at_first_fractional_index(self):
-        oracle = fraction_terms(8, SOMOS_SUMMANDS[8], 40)
+        oracle = somos_terms(8, 40)
         failing = first_fractional_index(oracle)
         prefix = [int(v) for v in oracle[:failing]]
         assert not build_certificate(SequenceBuffer(prefix), failing).valid
@@ -628,7 +628,7 @@ class TestRangeSharesIdentities:
         assert built == [build_certificate(generate(somos5_spec(), 120), n) for n in range(10, 120)]
 
     def test_rational_somos8_with_a_fractional_term(self, monkeypatch):
-        oracle = fraction_terms(8, SOMOS_SUMMANDS[8], 40)
+        oracle = somos_terms(8, 40)
         failing = first_fractional_index(oracle)
         buffer = generate(somos_k_spec(8), failing + 3, mode=RATIONAL)
         assert buffer.term(failing).denominator != 1
@@ -687,7 +687,9 @@ class TestRangeSharesIdentities:
             raise AssertionError("evaluated outside _identity")
 
         monkeypatch.setattr(
-            somos.certificate, "_identity", lambda b, s, n: evaluated.append(n) or identity(b, s, n)
+            somos.certificate,
+            "_identity",
+            lambda b, s, n, *store: evaluated.append(n) or identity(b, s, n, *store),
         )
         monkeypatch.setattr(somos.certificate, "_sides", refuse)
         monkeypatch.setattr(somos.certificate, "_divmod", refuse)

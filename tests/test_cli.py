@@ -11,7 +11,7 @@ import somos.cli
 from somos import SequenceBuffer, emit_bfile, emit_report_json, generate, somos_k_spec
 from somos.cli import main
 
-from helpers import SOMOS_SUMMANDS, first_fractional_index, fraction_terms
+from helpers import first_fractional_index, somos_terms
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "b006721.txt"
 FIRST_TWELVE = ["1", "1", "1", "1", "1", "2", "3", "5", "11", "37", "83", "274"]
@@ -27,7 +27,7 @@ class TestGenerate:
         assert capsys.readouterr().out.split() == ["1"] * 5
 
     def test_somos8_integer_mode_fails_with_witness(self, capsys):
-        failing = first_fractional_index(fraction_terms(8, SOMOS_SUMMANDS[8], 30))
+        failing = first_fractional_index(somos_terms(8, 30))
         assert main(["generate", "--k", "8", "--count", "100", "--mode", "integer"]) == 1
         out = capsys.readouterr().out
         assert f"non-integral term at index {failing}" in out

@@ -532,7 +532,9 @@ class TestOnePassVerify:
         evaluated = []
         identity = somos.engine._identity
         monkeypatch.setattr(
-            somos.engine, "_identity", lambda b, s, n: evaluated.append(n) or identity(b, s, n)
+            somos.engine,
+            "_identity",
+            lambda b, s, n, *store: evaluated.append(n) or identity(b, s, n, *store),
         )
         return evaluated
 

@@ -35,12 +35,12 @@ from somos import (
     somos5_spec,
     somos_k_spec,
 )
-from somos.bigint import _DIV_LIMIT
+from somos.bigint import _DIV_LIMIT, _mersenne_exponents, _mersenne_residue
 from somos.cli import main
-from somos.engine import _divmod, _fractional_step
+from somos.engine import _RESIDUE_LIMIT, _divmod, _fractional_step, _identity, _sides, window_start
 from somos.formats import to_decimal
 
-from helpers import SOMOS_SUMMANDS, first_fractional_index, fraction_terms
+from helpers import SOMOS_SUMMANDS, first_fractional_index, fraction_terms, somos_terms
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
@@ -144,7 +144,7 @@ class TestNextTerm:
 
     def test_non_integral_leaves_buffer_unchanged(self):
         spec = somos_k_spec(8)
-        oracle = fraction_terms(8, SOMOS_SUMMANDS[8], 40)
+        oracle = somos_terms(8, 40)
         failing = first_fractional_index(oracle)
         buffer = new_state(spec)
         while buffer.next_index < failing:
@@ -327,7 +327,7 @@ class TestGenerate:
     def test_fourteen_terms_end_at_6161(self):
         buffer = generate(somos5_spec(), 14)
         assert buffer.term(13) == 6161
-        oracle = fraction_terms(5, SOMOS_SUMMANDS[5], 14)
+        oracle = somos_terms(5, 14)
         assert [Fraction(v) for v in buffer.values()] == oracle
 
     @pytest.mark.parametrize("count", [0, 1, 3, 5])
@@ -342,7 +342,7 @@ class TestGenerate:
 
     def test_integer_mode_aborts_with_witness(self):
         spec = somos_k_spec(8)
-        oracle_failing = first_fractional_index(fraction_terms(8, SOMOS_SUMMANDS[8], 40))
+        oracle_failing = first_fractional_index(somos_terms(8, 40))
         with pytest.raises(NonIntegralTermError) as excinfo:
             generate(spec, 40)
         assert excinfo.value.event.index == oracle_failing
@@ -364,7 +364,7 @@ class TestGenerate:
     def test_mode_boundary_at_somos8_breakdown(self):
         # rational denominators are 1 exactly where integer mode succeeds
         spec = somos_k_spec(8)
-        oracle = fraction_terms(8, SOMOS_SUMMANDS[8], 25)
+        oracle = somos_terms(8, 25)
         failing = first_fractional_index(oracle)
         rational = generate(spec, 25, RATIONAL).values()
         assert all(v.denominator == 1 for v in rational[:failing])
@@ -392,7 +392,7 @@ class TestRationalAgainstOracle:
         # Somos-8 runs past its first fractional index 17, so its later
         # windows hold non-integral fractions.
         buffer = generate(somos_k_spec(k), count, RATIONAL)
-        oracle = fraction_terms(k, SOMOS_SUMMANDS[k], count)
+        oracle = somos_terms(k, count)
         assert buffer.values() == oracle
         _assert_fractions_in_lowest_terms(buffer.values()[k:])
         if k == 8:
@@ -527,6 +527,143 @@ class TestRecurrenceRecheck:
         # a_6 a_1 = 7, against a_5 a_2 + a_4 a_3 = 5.
         buffer = generate(somos_k_spec(4), 40)
         assert first_recurrence_violation(buffer, somos5_spec()) == 6
+
+
+def _exact(buffer, spec, n) -> bool:
+    """The identity at n by the exact comparison of its two sides: the oracle."""
+    lhs, rhs = _sides(buffer.window(n, spec.order), spec)
+    return lhs == rhs
+
+
+def _bound(t, spec) -> int:
+    """max(bits(x) + bits(y) over the k + 1 products) + bits(#summands) + 1."""
+    widest = max(
+        t[i].bit_length() + t[j].bit_length() for i, j in ((0, spec.order), *spec.summands)
+    )
+    return widest + len(spec.summands).bit_length() + 1
+
+
+def _is_prime(p) -> bool:
+    return p > 1 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+
+class TestResidueIdentity:
+    """Past engine._RESIDUE_LIMIT, a walk's identities are decided by residues
+    modulo M_i = 2^{p_i} - 1; each is compared with the exact comparison of
+    engine._sides."""
+
+    @staticmethod
+    def walk(buffer, spec):
+        """Each covered identity through one store, in walk order, and by the oracle."""
+        store = {}
+        covered = range(window_start(buffer.start_index, spec.order), buffer.next_index)
+        return [_identity(buffer, spec, n, store) for n in covered], [
+            _exact(buffer, spec, n) for n in covered
+        ]
+
+    @staticmethod
+    def _decided(monkeypatch):
+        # The indices decided by residues, in order.
+        decided = []
+        residue = somos.engine._residue_identity
+        monkeypatch.setattr(
+            somos.engine,
+            "_residue_identity",
+            lambda t, spec, n, *rest: decided.append(n) or residue(t, spec, n, *rest),
+        )
+        return decided
+
+    def test_the_identity_holds_everywhere_on_somos5_to_1000(self, monkeypatch):
+        spec = somos5_spec()
+        buffer = SequenceBuffer([v.numerator for v in somos_terms(5, 1000)])
+        decided = self._decided(monkeypatch)
+        assert first_recurrence_violation(buffer, spec) is None
+        assert all(_exact(buffer, spec, n) for n in range(5, 1000))
+        first = next(n for n in range(5, 1000) if _bound(buffer.window(n, 5), spec) >= _RESIDUE_LIMIT)
+        assert 5 < first < 1000 and decided == list(range(first, 1000))
+
+    def test_integral_fractions_are_decided_by_residues(self, monkeypatch):
+        spec = somos5_spec()
+        values = somos_terms(5, 620)[580:]
+        decided = self._decided(monkeypatch)
+        residues, exact = self.walk(SequenceBuffer(values, start_index=580), spec)
+        assert residues == exact == [True] * 35
+        assert decided == list(range(585, 620))
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            pytest.param(lambda v: v + 1, id="plus-one"),
+            pytest.param(lambda v: -v, id="sign-flip"),
+            pytest.param(lambda v: 0, id="zero"),
+            pytest.param(lambda v: Fraction(3 * v + 1, 3), id="fraction"),
+        ],
+    )
+    def test_a_mutant_past_the_crossover_fails_at_the_same_index(self, mutate):
+        spec = somos5_spec()
+        values = [v.numerator for v in somos_terms(5, 620)[580:]]
+        values[600 - 580] = mutate(values[600 - 580])
+        buffer = SequenceBuffer(values, start_index=580)
+        assert _bound(buffer.window(585, 5), spec) >= _RESIDUE_LIMIT
+        residues, exact = self.walk(buffer, spec)
+        assert residues == exact
+        assert 585 + exact.index(False) == 600
+        assert first_recurrence_violation(buffer, spec) == 600
+
+    def test_a_multiple_of_every_modulus_but_the_last_fails(self):
+        # a_5 a_0 - (a_4 a_1 + a_3 a_2) = q, the product of every modulus the
+        # bound chooses but the last, which q is coprime to.
+        spec = somos5_spec()
+        exponents = _mersenne_exponents(2 * _RESIDUE_LIMIT)
+        q = 1
+        for p in exponents[:-1]:
+            q *= (1 << p) - 1
+        buffer = SequenceBuffer([1, 11, 5, 3, 2, 2 * 11 + 3 * 5 + q])
+        t = buffer.window(5, 5)
+        assert _mersenne_exponents(_bound(t, spec)) == exponents
+        assert _bound(t, spec) >= _RESIDUE_LIMIT
+        difference = t[0] * t[5] - (t[1] * t[4] + t[2] * t[3])
+        assert [difference % ((1 << p) - 1) == 0 for p in exponents] == [True] * (
+            len(exponents) - 1
+        ) + [False]
+        assert _identity(buffer, spec, 5, {}) is False
+        assert not _exact(buffer, spec, 5)
+
+    def test_the_exponents_are_the_fewest_distinct_primes_that_cover_the_bound(self):
+        terms = [v.numerator for v in somos_terms(5, 1000)]
+        walk = {_bound(tuple(terms[n - d] for d in range(6)), somos5_spec()) for n in range(5, 1000)}
+        primes = [p for p in range(3001, 8000) if _is_prime(p)]
+        for bound in sorted(walk | {1, 2999, 3000, 3001, 6010, 6011, _RESIDUE_LIMIT, 10**6}):
+            exponents = _mersenne_exponents(bound)
+            assert list(exponents) == primes[: len(exponents)]
+            assert sum(p - 1 for p in exponents) >= bound > sum(p - 1 for p in exponents[:-1])
+        assert primes[0] == 3001 and len(_mersenne_exponents(10**6)) > 64
+        moduli = [(1 << p) - 1 for p in primes[:12]]
+        assert all(gcd(a, b) == 1 for i, a in enumerate(moduli) for b in moduli[i + 1 :])
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        x=st.integers(min_value=-(2**20000), max_value=2**20000),
+        p=st.sampled_from([1, 2, 3, 61, 3001, 3011]),
+    )
+    @example(x=0, p=3001)
+    @example(x=(1 << 3001) - 1, p=3001)
+    @example(x=-((1 << 3001) - 1), p=3001)
+    @example(x=((1 << 3001) - 1) * (1 << 9000), p=3001)
+    @example(x=(1 << 6002) - 1, p=3001)
+    @example(x=1 << 6002, p=3001)
+    def test_the_residue_is_the_remainder(self, x, p):
+        assert _mersenne_residue(x, p) == x % ((1 << p) - 1)
+
+    def test_the_store_keeps_the_window_and_never_lends_a_residue(self):
+        spec = somos5_spec()
+        values = [v.numerator for v in somos_terms(5, 620)[580:]]
+        buffer = SequenceBuffer(values, start_index=580)
+        store = {}
+        assert all(_identity(buffer, spec, n, store) for n in range(585, 620))
+        assert sorted(store) == list(range(614, 620))
+        values[619 - 580] += 1
+        assert _identity(SequenceBuffer(values, start_index=580), spec, 619, store) is False
 
 
 def digits(value) -> int:

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 
 import pytest
 
@@ -21,22 +20,15 @@ from somos import (
 from somos.cli import main
 from somos.ladder import propose
 
-from helpers import SOMOS_SUMMANDS, fraction_terms
+from helpers import SOMOS_SUMMANDS, somos_terms
 
 # The stream stride of each spec with a ladder: n = stride * j + parity.
 STRIDE = {4: 1, 5: 2}
 
 
-@cache
-def _oracle(k, count):
-    """The first count all-ones Somos-k terms by the Fraction recursion,
-    computed once per module (Somos-5 to 1000 takes seconds)."""
-    return fraction_terms(k, SOMOS_SUMMANDS[k], count)
-
-
 @pytest.mark.parametrize("k, count", [(5, 1000), (4, 600)])
 def test_every_proposal_is_the_fraction_recursion(k, count):
-    oracle = _oracle(k, count)
+    oracle = somos_terms(k, count)
     assert all(v.denominator == 1 for v in oracle)
     buffer = SequenceBuffer([v.numerator for v in oracle])
     spec = somos_k_spec(k)
@@ -114,11 +106,11 @@ def test_the_ladder_leaves_only_the_first_steps_to_division(monkeypatch, k, coun
     divisions = _count_divisions(monkeypatch)
     buffer = generate(somos_k_spec(k), count)
     assert len(divisions) == divided
-    assert buffer.values() == _oracle(k, count)
+    assert buffer.values() == somos_terms(k, count)
 
 
 def test_rational_generate_takes_each_proposal_unchecked(monkeypatch):
-    oracle = _oracle(5, 1000)[:700]
+    oracle = somos_terms(5, 1000)[:700]
     divisions = _count_divisions(monkeypatch)
     buffer = generate(somos5_spec(), 700, mode=RATIONAL)
     assert buffer.values() == oracle
@@ -136,14 +128,14 @@ def test_a_stepped_buffer_never_asks_the_ladder(monkeypatch, k, count, mode):
     divisions = _count_divisions(monkeypatch)
     buffer = _stepped(somos_k_spec(k), count, mode)
     assert len(divisions) == count - k
-    assert buffer.values() == _oracle(k, count)
+    assert buffer.values() == somos_terms(k, count)
 
 
 @pytest.mark.parametrize("mode", [INTEGER, RATIONAL])
 @pytest.mark.parametrize("k, count", [(5, 1000), (4, 600)])
 def test_generated_terms_are_the_fraction_recursion(k, count, mode):
     buffer = generate(somos_k_spec(k), count, mode=mode)
-    assert buffer.values() == _oracle(k, count)
+    assert buffer.values() == somos_terms(k, count)
 
 
 @pytest.mark.parametrize(
@@ -162,7 +154,7 @@ def test_generate_forms_the_bilinear_sum_only_without_a_proposal(monkeypatch, k,
     )
     buffer = generate(somos_k_spec(k), 300)
     assert formed == windows
-    assert buffer.values() == _oracle(k, 600)[:300]
+    assert buffer.values() == somos_terms(k, 600)[:300]
 
 
 def test_a_wrong_ladder_term_fails_the_identity_pass(monkeypatch, capsys):
@@ -185,6 +177,29 @@ def test_a_wrong_ladder_term_fails_the_identity_pass(monkeypatch, capsys):
         "certificate over n in [10, 301): 291 checked, FAIL; "
         "first failure at n = 300 (shift identity at offset 1 fails)\n"
     )
+
+
+def test_a_wrong_ladder_term_fails_the_identity_pass_past_the_crossover(monkeypatch, capsys):
+    # The identities at 899 .. 904 read a_899 and are decided by residues
+    # modulo 2^p - 1, as their bound is past engine._RESIDUE_LIMIT.
+    def off_by_one_at_899(buffer, spec, n):
+        value = propose(buffer, spec, n)
+        return value + 1 if n == 899 else value
+
+    decided = []
+    residue = somos.engine._residue_identity
+    monkeypatch.setattr(somos.engine, "propose", off_by_one_at_899)
+    monkeypatch.setattr(
+        somos.engine,
+        "_residue_identity",
+        lambda t, spec, n, *rest: decided.append(n) or residue(t, spec, n, *rest),
+    )
+    assert main(["verify", "--count", "1000"]) == 1
+    assert capsys.readouterr().out == (
+        "recurrence-identity over n in [5, 1000): 895 checked, FAIL; "
+        "first failure at n = 899 (a_n * a_{n-k} != bilinear sum)\n"
+    )
+    assert decided[-1] == 899
 
 
 def test_a_term_appended_by_hand_ends_the_trust():

@@ -17,7 +17,7 @@ from somos import (
     somos_k_spec,
 )
 
-from helpers import SOMOS_SUMMANDS, first_fractional_index, fraction_terms
+from helpers import SOMOS_SUMMANDS, first_fractional_index, fraction_terms, somos_terms
 
 
 class TestSomosKSpec:
@@ -56,7 +56,7 @@ class TestScanIntegrality:
         event = report.first_nonintegral
         assert event is not None
 
-        oracle = fraction_terms(8, SOMOS_SUMMANDS[8], event.index + 1)
+        oracle = somos_terms(8, event.index + 1)
         assert first_fractional_index(oracle) == event.index
         # the witness re-verifies against the oracle's exact prefix
         numerator = sum(
@@ -92,7 +92,7 @@ class TestScanCoprimality:
         report = scan_coprimality(somos5_spec(), 300, depth=5)
         witness = report.first_noncoprime
         if witness is not None:
-            terms = fraction_terms(5, SOMOS_SUMMANDS[5], witness.index + 1)
+            terms = somos_terms(5, witness.index + 1)
             recomputed = gcd(int(terms[witness.index]), int(terms[witness.index - witness.offset]))
             assert recomputed == witness.gcd > 1
 
